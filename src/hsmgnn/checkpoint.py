@@ -7,6 +7,7 @@ dims, row-major f64 data. Round trips are byte-identical.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -32,27 +33,40 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, count = struct.unpack_from("<II", raw, 4)
+    """Read a checkpoint; any malformed or truncated content raises FormatError."""
+    raw = memoryview(Path(path).read_bytes())
+    offset = 0
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal offset
+        if offset + n > len(raw):
+            raise FormatError(f"{path}: truncated in {what} at byte {offset}")
+        chunk = raw[offset : offset + n]
+        offset += n
+        return chunk
+
+    magic = bytes(take(4, "magic"))
+    if magic != MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}")
+    version, count = struct.unpack("<II", take(8, "header"))
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    offset = 12
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        name = raw[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<B", raw, offset)
-        offset += 1
-        dims = struct.unpack_from(f"<{rank}Q", raw, offset)
-        offset += 8 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(dims)
-        offset += 8 * n
-        out[name] = arr.copy()
+        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        try:
+            name = str(take(name_len, "name"), "utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name is not UTF-8") from None
+        if name in out:
+            raise FormatError(f"{path}: duplicate tensor {name!r}")
+        (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"shape of {name!r}"))
+        data = take(8 * math.prod(dims), f"data of {name!r}")
+        try:
+            out[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
+        except ValueError:  # an empty tensor whose other dims overflow
+            raise FormatError(f"{path}: shape {dims} of {name!r} too large") from None
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
     return out

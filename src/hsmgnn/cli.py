@@ -18,7 +18,7 @@ from pathlib import Path
 from . import data as D
 from . import training
 from .errors import ConfigError, ContractError, FormatError, NumericsError, ShapeError
-from .model import HSMGNN, ModelConfig, VARIANTS, ablate as ablate_config
+from .model import HSMGNN, ModelConfig, VARIANTS
 from .training import TrainConfig
 
 MODEL_KEYS = set(ModelConfig.__dataclass_fields__) - {"n", "t"}
@@ -151,17 +151,10 @@ def cmd_ablate(args) -> int:
     train_set, valid_set, test_set = _load_sets_from(sset, args, valid_frac, train_cfg.seed)
     variants = (args.variant,) if args.variant else VARIANTS
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [train_cfg.seed]
-    rows = training.run_ablations(model_cfg, train_cfg, train_set, valid_set, test_set,
-                                  seeds=seeds, variants=variants)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # retrain is cheap at desk scale; persist one checkpoint per variant run
-    for variant in variants:
-        vcfg = ablate_config(variant, model_cfg)
-        tc = TrainConfig(train_cfg.batch_size, train_cfg.epochs, train_cfg.lr,
-                         train_cfg.patience, seeds[0], train_cfg.max_steps)
-        model, _ = training.train(vcfg, tc, train_set, valid_set)
-        model.save(out / f"checkpoint-{variant}-seed{seeds[0]}.hsmg")
+    rows = training.run_ablations(model_cfg, train_cfg, train_set, valid_set, test_set,
+                                  seeds=seeds, variants=variants, checkpoint_dir=out)
     write_outputs(out, resolved_dict(model_cfg, train_cfg,
                                      {"valid_frac": valid_frac, "seeds": seeds}), rows)
     for row in rows:

@@ -8,6 +8,7 @@ written to and read from a canonical binary container byte-exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -251,40 +252,50 @@ def carve_validation(sset: SampleSet, valid_frac: float = 0.1,
 
 
 # -- canonical binary container ------------------------------------------
+#
+# Layout (little-endian): magic b"MTSD", u32 version, u32 S, N, T, C, u8 task
+# code (25 bytes), then S records of an (N, T, C) f64 window and an f64 label.
+
+HEADER = struct.Struct("<4sIIIIIB")
+
+
+def _record_dtype(n: int, t: int, c: int) -> np.dtype:
+    return np.dtype([("window", "<f8", (n, t, c)), ("label", "<f8")])
+
 
 def save_canonical(path, sset: SampleSet) -> None:
     s, n, t, c = sset.windows.shape
-    header = MAGIC + struct.pack("<IIIIIB", VERSION, s, n, t, c, TASK_CODES[sset.task])
-    body = bytearray()
-    for window, label in zip(sset.windows, sset.labels):
-        body += np.ascontiguousarray(window, dtype="<f8").tobytes()
-        body += struct.pack("<d", float(label))
-    Path(path).write_bytes(header + bytes(body))
+    records = np.empty(s, dtype=_record_dtype(n, t, c))
+    records["window"] = sset.windows
+    records["label"] = sset.labels
+    with open(path, "wb") as fh:
+        fh.write(HEADER.pack(MAGIC, VERSION, s, n, t, c, TASK_CODES[sset.task]))
+        records.tofile(fh)
 
 
 def load_canonical(path) -> SampleSet:
+    """Read a container with one structured read; windows and labels are views."""
     path = Path(path)
     if not path.exists():
         raise IOError(f"missing file: {path}")
-    raw = path.read_bytes()
-    if raw[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, s, n, t, c, task_code = struct.unpack_from("<IIIIIB", raw, 4)
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if task_code not in TASK_NAMES:
-        raise FormatError(f"{path}: unknown task code {task_code}")
-    per_sample = (n * t * c + 1) * 8
-    expected = 25 + s * per_sample
-    if len(raw) != expected:
-        raise FormatError(f"{path}: size {len(raw)} != expected {expected}")
-    windows = np.empty((s, n, t, c))
-    labels = np.empty(s)
-    offset = 25
-    for i in range(s):
-        flat = np.frombuffer(raw, dtype="<f8", count=n * t * c, offset=offset)
-        windows[i] = flat.reshape(n, t, c)
-        offset += n * t * c * 8
-        (labels[i],) = struct.unpack_from("<d", raw, offset)
-        offset += 8
-    return SampleSet(windows, labels, TASK_NAMES[task_code])
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(HEADER.size)
+        if head[:4] != MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) < HEADER.size:
+            raise FormatError(f"{path}: header truncated at {len(head)} bytes")
+        _, version, s, n, t, c, task_code = HEADER.unpack(head)
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if task_code not in TASK_NAMES:
+            raise FormatError(f"{path}: unknown task code {task_code}")
+        expected = HEADER.size + s * (n * t * c + 1) * 8
+        if size != expected:
+            raise FormatError(f"{path}: size {size} != expected {expected}")
+        try:
+            dtype = _record_dtype(n, t, c)
+        except ValueError:  # only an empty container can claim such dimensions
+            raise FormatError(f"{path}: window shape {(n, t, c)} too large") from None
+        records = np.fromfile(fh, dtype=dtype, count=s)
+    return SampleSet(records["window"], records["label"], TASK_NAMES[task_code])

@@ -4,6 +4,14 @@ Both branches run multi-hop propagation (sums of adjacency powers times
 node features, computed by repeated multiplication), get projected to a
 common per-branch width, and are fused by fixed weights before a 4-layer
 MLP emits the prediction.
+
+Propagation and projection are both linear, so (A^r Z) P = A^r (Z P).
+The SPD branch (`factored_multihop`) therefore projects first and
+propagates f_s columns instead of the N*M columns of the flattened stack
+Z. It never forms Z either: with U_m = W_m W_m^T + eps*I and P_m the rows
+k*M + m of P, Z P = sum_m W_m (W_m^T P_m) + eps sum_m P_m. The bias is
+added after propagation. `multihop_conv` followed by `branch_features` on
+the dense stack is the reference definition.
 """
 
 from __future__ import annotations
@@ -30,6 +38,22 @@ def multihop_conv(u: Tensor, a: Tensor, r: int) -> Tensor:
         h = T.matmul(a, h)
         out = T.add(out, h)
     return out
+
+
+def factored_multihop(w: Tensor, a: Tensor, r: int, proj_w: Tensor,
+                      proj_b: Tensor, eps_spd: float) -> Tensor:
+    """Projected SPD-branch features from window factors w (B, M, N, z_s).
+
+    Equals sum_{j=1..r} A^j Z P + b for the flattened Gram stack Z
+    (B, N, N*M) and P = proj_w (N*M, F); returns (B, N, F).
+    """
+    b, m, n, z = w.shape
+    f = proj_w.shape[1]
+    p = T.transpose(T.reshape(proj_w, (n, m, f)), (1, 0, 2))       # P_m: (M, N, F)
+    w_t_p = T.reshape(T.matmul(T.transpose(w, (0, 1, 3, 2)), p), (b, m * z, f))
+    w_cols = T.reshape(T.transpose(w, (0, 2, 1, 3)), (b, n, m * z))
+    zp = T.add(T.matmul(w_cols, w_t_p), T.scale(T.sum_axis(p, 0), eps_spd))
+    return T.add(multihop_conv(zp, a, r), proj_b)
 
 
 def branch_features(per_block: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
@@ -84,15 +108,10 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Softmax cross-entropy with integer class labels."""
+    """Softmax cross-entropy with integer class labels, finite for finite logits."""
     labels = np.asarray(labels).reshape(-1).astype(int)
     if labels.size == 0:
         raise ContractError("empty batch")
     if logits.shape[0] != labels.size:
         raise ShapeError(f"batch mismatch: {logits.shape[0]} logits vs {labels.size} labels")
-    probs = T.softmax_rows(logits)
-    onehot = np.zeros(logits.shape)
-    onehot[np.arange(labels.size), labels] = 1.0
-    # -mean log p[label]; computed through log of the picked probability
-    picked = T.sum_axis(T.mul(probs, Tensor(onehot)), 1)
-    return T.scale(T.mean_all(T.log(picked)), -1.0)
+    return T.softmax_cross_entropy(logits, labels)

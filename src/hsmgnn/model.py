@@ -3,8 +3,10 @@
 The complete pipeline is: block partition -> temporal CNN -> window
 covariances (SPD branch) with memory-bank adjacency refinement, plus the
 Euclidean per-block branch, both convolved multi-hop, projected, fused
-and fed to the MLP head. Ablation variants drop pieces structurally, so
-their parameter censuses differ (see `variant_*` helpers).
+and fed to the MLP head. The SPD branch runs on the window factors of
+the covariances and never forms the (N, N, M) stack (see `scs`).
+Ablation variants drop pieces structurally, so their parameter censuses
+differ (see `variant_*` helpers).
 """
 
 from __future__ import annotations
@@ -162,23 +164,24 @@ class HSMGNN:
         if cfg.has_spd:
             p = scs.temporal_cnn(blocks, self.params["cnn.w1"], self.params["cnn.b1"],
                                  self.params["cnn.w2"], self.params["cnn.b2"])
+            z_s = cfg.scs_cfg.z_s
             spd_blocks, euc_blocks = [], []
             for d in range(cfg.d_blocks):
                 p_d = T.reshape(T.slice_axis(p, 3, d, 1), (b, cfg.n, cfg.w_p))
-                u_d = scs.window_covariance(p_d, cfg.scs_cfg.z_s, cfg.eps_spd)
-                a_s = adb.base_adjacency(u_d)
+                w = scs.window_factors(p_d, z_s)
+                a_s = adb.factored_base_adjacency(w, cfg.eps_spd)
                 if cfg.has_adb:
-                    q = adb.bilinear_query(u_d, self.params["adb.bank"])
+                    q = adb.factored_query(w, self.params["adb.bank"], cfg.eps_spd)
                     alpha = adb.ndv(q, self.params["adb.ffn_w1"], self.params["adb.ffn_b1"],
                                     self.params["adb.ffn_w2"], self.params["adb.ffn_b2"])
                     a_s = adb.refine_adjacency(alpha, a_s)
-                z = adb.node_features(u_d)
-                spd_blocks.append(fusion.multihop_conv(z, a_s, cfg.r_s))
+                spd_blocks.append(fusion.factored_multihop(
+                    w, a_s, cfg.r_s, self.params["proj_s.w"], self.params["proj_s.b"],
+                    cfg.eps_spd))
                 if cfg.has_euclid:
                     a_e = fusion.euclidean_adjacency(p_d)
                     euc_blocks.append(fusion.multihop_conv(p_d, a_e, cfg.r_e))
-            u_s_c = fusion.branch_features(spd_blocks, self.params["proj_s.w"],
-                                           self.params["proj_s.b"])
+            u_s_c = T.stack(spd_blocks, 1)
             if cfg.has_euclid:
                 u_e_c = fusion.branch_features(euc_blocks, self.params["proj_e.w"],
                                                self.params["proj_e.b"])

@@ -4,6 +4,20 @@ Raw series are cut into non-overlapping temporal blocks, pushed through
 a two-layer temporal CNN, and each feature block is lifted to a stack of
 strictly positive-definite window Gram matrices. All functions take a
 leading batch axis.
+
+Every Gram slice is U_m = W_m W_m^T + eps*I, where the window factor W_m
+is the (N, z_s) stride-1 window m of a feature block. The model never
+forms the (N, N, M) stack: it runs on the factors W (`window_factors`),
+using three exact identities (see `adb` and `fusion`):
+
+- base adjacency: Z Z^T = sum_m U_m^2
+  = [W_m (W_m^T W_m + 2 eps I)]_m [W_m]_m^T + M eps^2 I;
+- bilinear query: Xi^T U_m Xi = (Xi^T W_m)(Xi^T W_m)^T + eps Xi^T Xi;
+- projection: Z P = sum_m W_m (W_m^T P_m) + eps sum_m P_m, which commutes
+  with multi-hop propagation, (A^r Z) P = A^r (Z P).
+
+`window_covariance` builds the dense stack and is kept as the reference
+definition of the SPD embedding.
 """
 
 from __future__ import annotations
@@ -78,23 +92,21 @@ def temporal_cnn(blocks: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor)
     return T.transpose(T.reshape(p, (b, n, d, w_p)), (0, 1, 3, 2))
 
 
+def window_factors(p_d: Tensor, z_s: int) -> Tensor:
+    """Stride-1 windows of width z_s as Gram factors: (B, N, W_p) -> (B, M, N, z_s)."""
+    return T.transpose(T.sliding_windows(p_d, z_s), (0, 2, 1, 3))
+
+
 def window_covariance(p_d: Tensor, z_s: int, eps_spd: float) -> Tensor:
     """Sliding-window Gram matrices: (B, N, W_p) -> (B, N, N, M).
 
-    Each stride-1 window P of width z_s contributes P P^T + eps*I, which
+    Each stride-1 window W of width z_s contributes W W^T + eps*I, which
     is symmetric by construction and strictly positive definite.
     """
-    b, n, w_p = p_d.shape
-    if not (1 <= z_s <= w_p):
-        raise ConfigError(f"window length {z_s} outside [1, {w_p}]")
-    m = w_p - z_s + 1
-    eye = Tensor(eps_spd * np.eye(n))
-    slices = []
-    for i in range(m):
-        window = T.slice_axis(p_d, 2, i, z_s)
-        u = T.matmul(window, T.transpose(window, (0, 2, 1)))
-        slices.append(T.add(u, eye))
-    return T.stack(slices, 3)
+    w = window_factors(p_d, z_s)
+    u = T.matmul(w, T.transpose(w, (0, 1, 3, 2)))
+    u = T.add(u, Tensor(eps_spd * np.eye(w.shape[2])))
+    return T.transpose(u, (0, 2, 3, 1))
 
 
 def build_spd_tensor(p: Tensor, cfg: ScsConfig) -> Tensor:

@@ -64,9 +64,12 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # copy the first gradient: `g` may be shared with a sibling parent
+        # (add) or be a view of the child's gradient (reshape, transpose)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Populate gradients of every reachable `requires_grad` tensor.
@@ -280,9 +283,9 @@ def slice_axis(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     data = a.data[idx]
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        a._accumulate(full)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[idx] += g
 
     return _make(data, (a,), backward)
 
@@ -293,7 +296,7 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        a._accumulate(np.broadcast_to(g, a.data.shape))
 
     return _make(data, (a,), backward)
 
@@ -349,6 +352,40 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(data, parents, backward)
 
 
-def zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()
+def sliding_windows(a: Tensor, width: int) -> Tensor:
+    """Stride-1 windows of the last axis: (..., L) -> (..., L - width + 1, width).
+
+    out[..., m, k] = a[..., m + k].
+    """
+    length = a.data.shape[-1]
+    if not (1 <= width <= length):
+        raise ConfigError(f"window length {width} outside [1, {length}]")
+    count = length - width + 1
+    data = np.lib.stride_tricks.sliding_window_view(a.data, width, axis=-1).copy()
+
+    def backward(g):
+        grad = np.zeros_like(a.data)
+        for k in range(width):
+            grad[..., k : k + count] += g[..., k]
+        a._accumulate(grad)
+
+    return _make(data, (a,), backward)
+
+
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean over rows of -log softmax(logits)[label], fused for stability.
+
+    The log-softmax is formed from max-shifted logits, so the loss stays
+    finite whenever the logits are finite.
+    """
+    rows = np.arange(labels.size)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    data = np.array(-log_p[rows, labels].mean())
+
+    def backward(g):
+        grad = np.exp(log_p)
+        grad[rows, labels] -= 1.0
+        logits._accumulate(grad * (float(g) / labels.size))
+
+    return _make(data, (logits,), backward)

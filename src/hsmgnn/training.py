@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -143,16 +144,21 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
 def run_ablations(base_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
                   valid_set: SampleSet, test_set: SampleSet,
                   seeds: list[int] | None = None,
-                  variants: tuple[str, ...] = VARIANTS) -> list[dict]:
-    """Train every requested variant over the seed list; one row per run."""
+                  variants: tuple[str, ...] = VARIANTS,
+                  checkpoint_dir: Path | None = None) -> list[dict]:
+    """Train every requested variant over the seed list; one row per run.
+
+    With `checkpoint_dir`, the first seed's model of each variant is saved
+    there as `checkpoint-<variant>-seed<seed>.hsmg`.
+    """
     seeds = seeds if seeds is not None else [train_cfg.seed]
     rows = []
     for variant in variants:
         cfg = ablate(variant, base_cfg)
         for seed in seeds:
-            tc = TrainConfig(train_cfg.batch_size, train_cfg.epochs, train_cfg.lr,
-                             train_cfg.patience, seed, train_cfg.max_steps)
-            model, _ = train(cfg, tc, train_set, valid_set)
+            model, _ = train(cfg, replace(train_cfg, seed=seed), train_set, valid_set)
+            if checkpoint_dir is not None and seed == seeds[0]:
+                model.save(Path(checkpoint_dir) / f"checkpoint-{variant}-seed{seed}.hsmg")
             report = evaluate(model, test_set)
             rows.append({"variant": variant, "seed": seed, **report.to_dict()})
     return rows

@@ -52,3 +52,25 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def test_every_truncation_raises_format_error(tmp_path):
+    path = tmp_path / "full.hsmg"
+    save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2),
+                           "s": np.array(1.5)})
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.hsmg"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(FormatError):
+            load_checkpoint(cut)
+
+
+def test_duplicate_names_rejected(tmp_path):
+    path = tmp_path / "dup.hsmg"
+    save_checkpoint(path, {"ab": np.zeros(2), "ac": np.zeros(2)})
+    raw = path.read_bytes()
+    second = raw.rindex(b"ac")
+    path.write_bytes(raw[:second] + b"ab" + raw[second + 2:])
+    with pytest.raises(FormatError, match="duplicate"):
+        load_checkpoint(path)

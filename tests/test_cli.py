@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hsmgnn import VARIANTS, training
 from hsmgnn import data as D
 from hsmgnn.checkpoint import load_checkpoint
 from hsmgnn.cli import main
@@ -118,7 +119,50 @@ class TestTrainEval:
         assert resolved["train.epochs"] == 1
 
 
+class TestMalformedInput:
+    def test_truncated_data_exit_two(self, tmp_path, toy_data, config_file):
+        cut = tmp_path / "cut.mtsd"
+        cut.write_bytes(toy_data.read_bytes()[:20])
+        assert main(["train", "--config", str(config_file), "--data", str(cut),
+                     "--out", str(tmp_path / "o")]) == 2
+
+    def test_truncated_checkpoint_exit_two(self, tmp_path, toy_data, config_file):
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config_file), "--data", str(toy_data),
+                     "--out", str(run), "--set", "epochs=1"]) == 0
+        cut = tmp_path / "cut.hsmg"
+        cut.write_bytes((run / "checkpoint.hsmg").read_bytes()[:100])
+        assert main(["eval", "--config", str(config_file), "--data", str(toy_data),
+                     "--checkpoint", str(cut), "--out", str(tmp_path / "e")]) == 2
+
+
 class TestAblateSweep:
+    def test_ablate_trains_each_run_once(self, tmp_path, toy_data, config_file, monkeypatch):
+        calls = []
+        real_train = training.train
+
+        def counting_train(model_cfg, train_cfg, *args):
+            calls.append((model_cfg.variant, train_cfg.seed))
+            return real_train(model_cfg, train_cfg, *args)
+
+        monkeypatch.setattr(training, "train", counting_train)
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(config_file), "--data", str(toy_data),
+                     "--out", str(out), "--seeds", "0,1", "--set", "epochs=1"]) == 0
+        assert sorted(calls) == sorted((v, s) for v in VARIANTS for s in (0, 1))
+        assert sorted(p.name for p in out.glob("*.hsmg")) == sorted(
+            f"checkpoint-{v}-seed0.hsmg" for v in VARIANTS)
+
+    def test_ablate_checkpoint_equals_train_checkpoint(self, tmp_path, toy_data, config_file):
+        ablated = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(config_file), "--data", str(toy_data),
+                     "--out", str(ablated), "--variant", "complete"]) == 0
+        trained = tmp_path / "train"
+        assert main(["train", "--config", str(config_file), "--data", str(toy_data),
+                     "--out", str(trained)]) == 0
+        assert ((ablated / "checkpoint-complete-seed0.hsmg").read_bytes()
+                == (trained / "checkpoint.hsmg").read_bytes())
+
     def test_no_adb_checkpoint_lacks_bank_tensors(self, tmp_path, toy_data, config_file):
         out = tmp_path / "ablate"
         assert main(["ablate", "--config", str(config_file), "--data", str(toy_data),

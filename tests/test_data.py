@@ -184,6 +184,25 @@ class TestCanonicalContainer:
         with pytest.raises(FormatError):
             D.load_canonical(path)
 
+    def test_short_header(self, tmp_path):
+        path = tmp_path / "short.mtsd"
+        D.save_canonical(path, D.SampleSet(np.zeros((1, 2, 2, 1)), np.zeros(1), "regression"))
+        raw = path.read_bytes()
+        for size in range(25):
+            path.write_bytes(raw[:size])
+            with pytest.raises(FormatError):
+                D.load_canonical(path)
+
+    def test_windows_and_labels_view_one_record_array(self, tmp_path):
+        rng = np.random.default_rng(2)
+        sset = D.SampleSet(rng.normal(size=(3, 2, 4, 2)), rng.normal(size=3), "regression")
+        path = tmp_path / "v.mtsd"
+        D.save_canonical(path, sset)
+        loaded = D.load_canonical(path)
+        assert np.array_equal(loaded.windows, sset.windows)
+        assert np.array_equal(loaded.labels, sset.labels)
+        assert np.may_share_memory(loaded.windows, loaded.labels)
+
     def test_nan_rejected(self):
         windows = np.zeros((1, 2, 2, 1))
         windows[0, 0, 0, 0] = np.nan

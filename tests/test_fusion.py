@@ -177,3 +177,11 @@ class TestLosses:
         probs = softmax(logits)
         expected = -np.mean([np.log(probs[0, 0]), np.log(probs[1, 2])])
         assert abs(float(loss.data) - expected) < 1e-12
+
+    def test_cross_entropy_finite_for_saturated_logits(self):
+        logits = Tensor(np.array([[800.0, 0.0], [0.0, 1.0]]), requires_grad=True)
+        loss = fusion.cross_entropy_loss(logits, np.array([1, 1]))
+        assert np.isfinite(float(loss.data))
+        assert float(loss.data) == pytest.approx((800.0 + np.log1p(np.exp(-1.0))) / 2)
+        loss.backward()
+        assert np.all(np.isfinite(logits.grad))

@@ -258,3 +258,83 @@ class TestAdam:
         p.grad = np.array([np.nan])
         with pytest.raises(NumericsError, match="theta"):
             Adam({"theta": p}).step()
+
+
+class TestSlidingWindows:
+    def test_values(self):
+        x = Tensor(np.arange(10.0).reshape(2, 5))
+        out = T.sliding_windows(x, 3)
+        assert out.shape == (2, 3, 3)
+        assert np.array_equal(out.data[1, 2], [7.0, 8.0, 9.0])
+        assert np.array_equal(out.data[0, :, 0], [0.0, 1.0, 2.0])
+
+    def test_full_width_is_one_window(self):
+        x = np.random.default_rng(0).normal(size=(2, 3, 4))
+        out = T.sliding_windows(Tensor(x), 4)
+        assert np.array_equal(out.data[:, :, 0], x)
+
+    def test_width_outside_axis_rejected(self):
+        with pytest.raises(ConfigError):
+            T.sliding_windows(Tensor(np.zeros((2, 4))), 5)
+        with pytest.raises(ConfigError):
+            T.sliding_windows(Tensor(np.zeros((2, 4))), 0)
+
+    def test_finite_difference(self):
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(2, 3, 7)), requires_grad=True)
+        weights = rng.normal(size=(2, 3, 5, 3))
+        T.sum_all(T.mul(T.sliding_windows(x, 3), Tensor(weights))).backward()
+
+        def f():
+            win = np.lib.stride_tricks.sliding_window_view(x.data, 3, axis=-1)
+            return float((win * weights).sum())
+
+        assert max_rel_err(x.grad, numeric_grad(f, x.data)) < 1e-4
+
+
+class TestSoftmaxCrossEntropy:
+    def test_finite_for_saturated_logits(self):
+        x = Tensor(np.array([[800.0, 0.0]]), requires_grad=True)
+        loss = T.softmax_cross_entropy(x, np.array([1]))
+        assert float(loss.data) == pytest.approx(800.0)
+        loss.backward()
+        assert np.allclose(x.grad, [[1.0, -1.0]], atol=1e-15)
+
+    def test_finite_difference(self):
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        labels = np.array([0, 2, 1, 2])
+        T.softmax_cross_entropy(x, labels).backward()
+
+        def f():
+            z = x.data - x.data.max(axis=1, keepdims=True)
+            log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            return float(-log_p[np.arange(4), labels].mean())
+
+        assert max_rel_err(x.grad, numeric_grad(f, x.data)) < 1e-4
+
+
+class TestGradientAccumulation:
+    def test_shared_gradient_not_aliased(self):
+        # add hands the same gradient array to both parents
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = T.add(x, x)
+        T.sum_all(y).backward()
+        assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+        assert np.array_equal(y.grad, [1.0, 1.0, 1.0])
+
+    def test_view_gradient_not_aliased(self):
+        # reshape and transpose hand views of the child's gradient
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        t = T.transpose(x, (1, 0))
+        out = T.add(T.sum_all(T.mul(t, t)), T.sum_all(T.reshape(x, (6,))))
+        out.backward()
+        assert np.array_equal(t.grad, 2.0 * t.data)
+        assert np.array_equal(x.grad, 2.0 * x.data + 1.0)
+
+    def test_overlapping_slices_accumulate(self):
+        x = Tensor(np.arange(5.0), requires_grad=True)
+        a = T.slice_axis(x, 0, 0, 3)
+        b = T.slice_axis(x, 0, 2, 3)
+        T.add(T.sum_all(T.mul(a, a)), T.sum_all(b)).backward()
+        assert np.array_equal(x.grad, [0.0, 2.0, 5.0, 1.0, 1.0])

@@ -61,8 +61,6 @@ def build_configs(cfg: dict, sset: D.SampleSet) -> tuple[ModelConfig, TrainConfi
     if sset.task == "classification":
         model_kwargs.setdefault("head", "classification")
         model_kwargs.setdefault("n_classes", sset.n_classes)
-    if "mlp_widths" in model_kwargs:
-        model_kwargs["mlp_widths"] = tuple(model_kwargs["mlp_widths"])
     model_cfg = ModelConfig(n=n * c, t=t, **model_kwargs)
     train_cfg = TrainConfig(**{k: v for k, v in cfg.items() if k in TRAIN_KEYS})
     return model_cfg, train_cfg, float(cfg.get("valid_frac", 0.1))
@@ -84,7 +82,6 @@ def write_outputs(out_dir: Path, resolved: dict, rows: list[dict]) -> None:
 
 def resolved_dict(model_cfg: ModelConfig, train_cfg: TrainConfig, extra: dict) -> dict:
     d = model_cfg.to_dict()
-    d["mlp_widths"] = list(d["mlp_widths"])
     d.update({f"train.{k}": v for k, v in vars(train_cfg).items()})
     d.update(extra)
     return d
@@ -112,10 +109,22 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def setup_run(args) -> tuple[D.SampleSet, ModelConfig, TrainConfig, float]:
+    """The data set and the resolved model and train configs of a run command."""
     cfg = load_run_config(args.config, args.set, args.seed)
     sset = D.load_canonical(args.data)
-    model_cfg, train_cfg, valid_frac = build_configs(cfg, sset)
+    return (sset, *build_configs(cfg, sset))
+
+
+def _load_sets_from(sset, args, valid_frac, seed):
+    """Train, validation and test sets; the test set defaults to the validation set."""
+    train_set, valid_set = D.carve_validation(sset, valid_frac, seed)
+    test_set = D.load_canonical(args.test_data) if args.test_data else valid_set
+    return train_set, valid_set, test_set
+
+
+def cmd_train(args) -> int:
+    sset, model_cfg, train_cfg, valid_frac = setup_run(args)
     train_set, valid_set = D.carve_validation(sset, valid_frac, train_cfg.seed)
     model, report = training.train(model_cfg, train_cfg, train_set, valid_set)
     out = Path(args.out)
@@ -129,9 +138,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_run_config(args.config, args.set, args.seed)
-    sset = D.load_canonical(args.data)
-    model_cfg, train_cfg, _ = build_configs(cfg, sset)
+    sset, model_cfg, train_cfg, _ = setup_run(args)
     model = HSMGNN(model_cfg, seed=train_cfg.seed)
     model.load(args.checkpoint)
     report = training.evaluate(model, sset)
@@ -145,9 +152,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_run_config(args.config, args.set, args.seed)
-    sset = D.load_canonical(args.data)
-    model_cfg, train_cfg, valid_frac = build_configs(cfg, sset)
+    sset, model_cfg, train_cfg, valid_frac = setup_run(args)
     train_set, valid_set, test_set = _load_sets_from(sset, args, valid_frac, train_cfg.seed)
     variants = (args.variant,) if args.variant else VARIANTS
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [train_cfg.seed]
@@ -163,23 +168,14 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _load_sets_from(sset, args, valid_frac, seed):
-    train_set, valid_set = D.carve_validation(sset, valid_frac, seed)
-    test_set = D.load_canonical(args.test_data) if args.test_data else valid_set
-    return train_set, valid_set, test_set
-
-
 def cmd_sweep(args) -> int:
-    cfg = load_run_config(args.config, args.set, args.seed)
-    sset = D.load_canonical(args.data)
-    model_cfg, train_cfg, valid_frac = build_configs(cfg, sset)
+    sset, model_cfg, train_cfg, valid_frac = setup_run(args)
     if args.param == "fusion_weights":
         values = [tuple(float(x) for x in pair.split(":")) for pair in args.values.split(",")]
     elif args.param == "delta":
         values = [float(v) for v in args.values.split(",")]
     else:
         values = [int(v) for v in args.values.split(",")]
-    training.validate_sweep(args.param, values)
     train_set, valid_set, test_set = _load_sets_from(sset, args, valid_frac, train_cfg.seed)
     rows = training.sweep(args.param, values, model_cfg, train_cfg,
                           train_set, valid_set, test_set)
@@ -210,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", default=None)
         p.add_argument("--data", required=True)
-        p.add_argument("--test-data", default=None)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
@@ -226,12 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train and compare ablation variants")
     common(p)
+    p.add_argument("--test-data", default=None)
     p.add_argument("--variant", choices=list(VARIANTS), default=None)
     p.add_argument("--seeds", default=None, help="comma-separated seed list")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sweep", help="sensitivity sweep over one hyperparameter")
     common(p)
+    p.add_argument("--test-data", default=None)
     p.add_argument("--param", choices=list(training.SWEEP_PARAMS), required=True)
     p.add_argument("--values", required=True,
                    help="comma-separated; fusion weight pairs as ws:we")

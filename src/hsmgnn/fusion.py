@@ -56,17 +56,9 @@ def factored_multihop(w: Tensor, a: Tensor, r: int, proj_w: Tensor,
     return T.add(multihop_conv(zp, a, r), proj_b)
 
 
-def branch_features(per_block: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
-    """Project each (B, N, F_raw) block output and stack: (B, D, N, F_target).
-
-    The affine map is shared across blocks.
-    """
-    f_raw = per_block[0].shape[-1]
-    for blk in per_block[1:]:
-        if blk.shape[-1] != f_raw:
-            raise ShapeError(f"inconsistent block feature widths: {f_raw} vs {blk.shape[-1]}")
-    projected = [T.add(T.matmul(blk, w), b) for blk in per_block]
-    return T.stack(projected, 1)
+def branch_features(u: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Project block outputs with one shared affine map: (..., F_raw) -> (..., F_target)."""
+    return T.add(T.matmul(u, w), b)
 
 
 def fuse_and_predict(u_s_c: Tensor | None, u_e_c: Tensor | None,

@@ -2,16 +2,18 @@
 
 The complete pipeline is: block partition -> temporal CNN -> window
 covariances (SPD branch) with memory-bank adjacency refinement, plus the
-Euclidean per-block branch, both convolved multi-hop, projected, fused
-and fed to the MLP head. The SPD branch runs on the window factors of
-the covariances and never forms the (N, N, M) stack (see `scs`).
-Ablation variants drop pieces structurally, so their parameter censuses
-differ (see `variant_*` helpers).
+Euclidean branch, both convolved multi-hop, projected, fused and fed to
+the MLP head. Each of the K feature blocks of a sample (the D CNN blocks,
+or the L raw blocks of `no-scs`) gets its own graph with shared weights,
+so `HSMGNN.forward` runs every stage once on a (B*K, N, W_p) batch. The
+SPD branch runs on the window factors of the covariances and never forms
+the (N, N, M) stack (see `scs`). Ablation variants drop stages (`has_spd`,
+`has_adb`, `has_euclid`) and their parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -154,48 +156,36 @@ class HSMGNN:
 
     def forward(self, x: np.ndarray) -> Tensor:
         """Predict from a batch of windows, shape (B, N, T)."""
-        cfg = self.cfg
+        cfg, prm = self.cfg, self.params
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         b = xt.shape[0]
-        blocks = scs.block_partition(xt, cfg.scs_cfg)
-
-        u_s_c = None
-        u_e_c = None
+        blocks = scs.block_partition(xt, cfg.scs_cfg)                 # (B, N, W_p, L)
         if cfg.has_spd:
-            p = scs.temporal_cnn(blocks, self.params["cnn.w1"], self.params["cnn.b1"],
-                                 self.params["cnn.w2"], self.params["cnn.b2"])
-            z_s = cfg.scs_cfg.z_s
-            spd_blocks, euc_blocks = [], []
-            for d in range(cfg.d_blocks):
-                p_d = T.reshape(T.slice_axis(p, 3, d, 1), (b, cfg.n, cfg.w_p))
-                w = scs.window_factors(p_d, z_s)
-                a_s = adb.factored_base_adjacency(w, cfg.eps_spd)
-                if cfg.has_adb:
-                    q = adb.factored_query(w, self.params["adb.bank"], cfg.eps_spd)
-                    alpha = adb.ndv(q, self.params["adb.ffn_w1"], self.params["adb.ffn_b1"],
-                                    self.params["adb.ffn_w2"], self.params["adb.ffn_b2"])
-                    a_s = adb.refine_adjacency(alpha, a_s)
-                spd_blocks.append(fusion.factored_multihop(
-                    w, a_s, cfg.r_s, self.params["proj_s.w"], self.params["proj_s.b"],
-                    cfg.eps_spd))
-                if cfg.has_euclid:
-                    a_e = fusion.euclidean_adjacency(p_d)
-                    euc_blocks.append(fusion.multihop_conv(p_d, a_e, cfg.r_e))
-            u_s_c = T.stack(spd_blocks, 1)
-            if cfg.has_euclid:
-                u_e_c = fusion.branch_features(euc_blocks, self.params["proj_e.w"],
-                                               self.params["proj_e.b"])
-        else:
-            # per-patch Euclidean graphs on the raw blocks
-            euc_blocks = []
-            for li in range(cfg.num_blocks):
-                x_l = T.reshape(T.slice_axis(blocks, 3, li, 1), (b, cfg.n, cfg.w_p))
-                a_e = fusion.euclidean_adjacency(x_l)
-                euc_blocks.append(fusion.multihop_conv(x_l, a_e, cfg.r_e))
-            u_e_c = fusion.branch_features(euc_blocks, self.params["proj_e.w"],
-                                           self.params["proj_e.b"])
+            blocks = scs.temporal_cnn(blocks, prm["cnn.w1"], prm["cnn.b1"],
+                                      prm["cnn.w2"], prm["cnn.b2"])   # (B, N, W_p, D)
+        k = blocks.shape[3]
+        # every feature block gets its own graph: the K blocks become a batch
+        # axis, sample-major, so that a (B*K, ...) result reshapes to (B, K, ...)
+        p = T.reshape(T.transpose(blocks, (0, 3, 1, 2)), (b * k, cfg.n, cfg.w_p))
 
-        mlp = {k.split(".", 1)[1]: v for k, v in self.params.items() if k.startswith("mlp.")}
+        u_s_c = u_e_c = None
+        if cfg.has_spd:
+            w = scs.window_factors(p, cfg.scs_cfg.z_s)
+            a_s = adb.factored_base_adjacency(w, cfg.eps_spd)
+            if cfg.has_adb:
+                q = adb.factored_query(w, prm["adb.bank"], cfg.eps_spd)
+                alpha = adb.ndv(q, prm["adb.ffn_w1"], prm["adb.ffn_b1"],
+                                prm["adb.ffn_w2"], prm["adb.ffn_b2"])
+                a_s = adb.refine_adjacency(alpha, a_s)
+            h_s = fusion.factored_multihop(w, a_s, cfg.r_s, prm["proj_s.w"], prm["proj_s.b"],
+                                           cfg.eps_spd)
+            u_s_c = T.reshape(h_s, (b, k, cfg.n, cfg.f_s))
+        if cfg.has_euclid:
+            h_e = fusion.multihop_conv(p, fusion.euclidean_adjacency(p), cfg.r_e)
+            h_e = fusion.branch_features(h_e, prm["proj_e.w"], prm["proj_e.b"])
+            u_e_c = T.reshape(h_e, (b, k, cfg.n, cfg.f_e))
+
+        mlp = {name.split(".", 1)[1]: v for name, v in prm.items() if name.startswith("mlp.")}
         return fusion.fuse_and_predict(u_s_c, u_e_c, cfg.w_s, cfg.w_e, mlp)
 
     def loss(self, pred: Tensor, targets: np.ndarray) -> Tensor:
@@ -236,8 +226,4 @@ class HSMGNN:
 
 def ablate(variant: str, base: ModelConfig) -> ModelConfig:
     """Derive an ablation config from a base configuration."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    d = base.to_dict()
-    d["variant"] = variant
-    return ModelConfig.from_dict(d)
+    return replace(base, variant=variant)

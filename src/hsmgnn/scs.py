@@ -63,12 +63,6 @@ class ScsConfig:
         return t // self.w_p
 
 
-def fold_channels(series: np.ndarray) -> np.ndarray:
-    """Fold an (N, T, C) array into (N*C, T) virtual sensors; C=1 squeezes."""
-    n, t, c = series.shape
-    return series.transpose(0, 2, 1).reshape(n * c, t)
-
-
 def block_partition(series: Tensor, cfg: ScsConfig) -> Tensor:
     """(B, N, T) -> (B, N, W_p, L); trailing T mod W_p steps are dropped."""
     b, n, t = series.shape
@@ -108,13 +102,3 @@ def window_covariance(p_d: Tensor, z_s: int, eps_spd: float) -> Tensor:
     u = T.add(u, Tensor(eps_spd * np.eye(w.shape[2])))
     return T.transpose(u, (0, 2, 3, 1))
 
-
-def build_spd_tensor(p: Tensor, cfg: ScsConfig) -> Tensor:
-    """Stack window covariances over all D blocks: (B, N, N, M, D)."""
-    b, n, w_p, d = p.shape
-    per_block = [
-        window_covariance(T.reshape(T.slice_axis(p, 3, i, 1), (b, n, w_p)),
-                          cfg.z_s, cfg.eps_spd)
-        for i in range(d)
-    ]
-    return T.stack(per_block, 4)

@@ -271,11 +271,6 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return _make(data, tuple(tensors), backward)
 
 
-def stack(tensors: list[Tensor], axis: int) -> Tensor:
-    expanded = [reshape(t, t.data.shape[:axis] + (1,) + t.data.shape[axis:]) for t in tensors]
-    return concat(expanded, axis)
-
-
 def slice_axis(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)

@@ -168,15 +168,10 @@ SWEEP_PARAMS = ("delta", "m_d", "m_q", "fusion_weights")
 
 
 def _apply_sweep_value(cfg: ModelConfig, param: str, value) -> ModelConfig:
-    d = cfg.to_dict()
-    if param == "delta":
-        d["delta"] = float(value)
-    elif param in ("m_d", "m_q"):
-        d[param] = int(value)
-    else:
+    if param == "fusion_weights":
         w_s, w_e = value
-        d["w_s"], d["w_e"] = float(w_s), float(w_e)
-    return ModelConfig.from_dict(d)
+        return replace(cfg, w_s=float(w_s), w_e=float(w_e))
+    return replace(cfg, **{param: float(value) if param == "delta" else int(value)})
 
 
 def validate_sweep(param: str, values: list) -> None:

@@ -191,6 +191,27 @@ class TestAblateSweep:
         rows = json.loads((out / "metrics.json").read_text())
         assert len(rows) == 3
 
+    def test_test_data_only_on_ablate_and_sweep(self, tmp_path, toy_data, config_file):
+        rng = np.random.default_rng(2)
+        test_path = tmp_path / "test.mtsd"
+        D.save_canonical(test_path, D.SampleSet(rng.normal(size=(5, 3, 8, 1)),
+                                                rng.normal(size=5), "regression"))
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(config_file), "--data", str(toy_data),
+                     "--out", str(out), "--variant", "complete", "--set", "epochs=1",
+                     "--test-data", str(test_path)]) == 0
+        ev = tmp_path / "eval"
+        checkpoint = out / "checkpoint-complete-seed0.hsmg"
+        assert main(["eval", "--config", str(config_file), "--data", str(test_path),
+                     "--checkpoint", str(checkpoint), "--out", str(ev)]) == 0
+        row = json.loads((out / "metrics.json").read_text())[0]
+        assert row["rmse"] == json.loads((ev / "metrics.json").read_text())[0]["rmse"]
+        for argv in (["train"], ["eval", "--checkpoint", str(checkpoint)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--data", str(toy_data), "--out", str(tmp_path / "x"),
+                             "--test-data", str(test_path)])
+            assert exc.value.code == 2
+
 
 def test_seed_env_fallback(tmp_path, toy_data, monkeypatch):
     monkeypatch.setenv("HSMGNN_SEED", "7")

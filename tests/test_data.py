@@ -126,6 +126,18 @@ class TestCsvLoader:
         assert loaded.task == sset.task
 
 
+def test_model_inputs_fold_channels():
+    # channel c of sensor n becomes virtual sensor n*C + c; C=1 squeezes
+    x = np.arange(2 * 2 * 3 * 2, dtype=float).reshape(2, 2, 3, 2)
+    folded = D.SampleSet(x, np.zeros(2), "regression").model_inputs()
+    assert folded.shape == (2, 4, 3)
+    assert np.array_equal(folded[1, 0], x[1, 0, :, 0])
+    assert np.array_equal(folded[1, 1], x[1, 0, :, 1])
+    assert np.array_equal(folded[1, 2], x[1, 1, :, 0])
+    single = D.SampleSet(x[..., :1], np.zeros(2), "regression").model_inputs()
+    assert np.array_equal(single, x[..., 0])
+
+
 class TestSplit:
     def _set(self, n_units=100, per_unit=3):
         units = np.repeat(np.arange(n_units), per_unit)

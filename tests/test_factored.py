@@ -1,11 +1,13 @@
-"""The factored SPD branch against the dense Gram-stack reference.
+"""The batched, factored forward pass against the per-block dense reference.
 
-The model runs the SPD branch on window factors and never forms the
-(B, N, N, M) stack. `dense_forward` composes the dense reference stages
-(`window_covariance`, `base_adjacency`, `bilinear_query`, `node_features`,
-`multihop_conv`, `branch_features`) into the original forward pass; the
-factored forward must reproduce its predictions and every parameter
-gradient.
+The model runs every feature block of a batch as one (B*K, N, W_p) batch,
+and runs the SPD branch on window factors without forming the (B, N, N, M)
+stack. `dense_forward` is the independent oracle: it loops over the blocks
+(the D CNN blocks, or the L raw blocks of `no-scs`), composes the dense
+reference stages (`window_covariance`, `base_adjacency`, `bilinear_query`,
+`node_features`, `multihop_conv`, `branch_features`) block by block and
+combines the blocks with `T.concat`. The model must reproduce its
+predictions and every parameter gradient.
 """
 
 import numpy as np
@@ -20,28 +22,33 @@ RTOL = 1e-10
 
 
 def dense_forward(model: HSMGNN, x: np.ndarray) -> Tensor:
-    """The SPD-variant forward pass through the dense (B, N, N, M) stack."""
+    """The forward pass, one block at a time, through the dense (B, N, N, M) stack."""
     cfg, prm = model.cfg, model.params
     b = x.shape[0]
     blocks = scs.block_partition(Tensor(x), cfg.scs_cfg)
-    p = scs.temporal_cnn(blocks, prm["cnn.w1"], prm["cnn.b1"], prm["cnn.w2"], prm["cnn.b2"])
+    if cfg.has_spd:
+        blocks = scs.temporal_cnn(blocks, prm["cnn.w1"], prm["cnn.b1"],
+                                  prm["cnn.w2"], prm["cnn.b2"])
     spd_blocks, euc_blocks = [], []
-    for d in range(cfg.d_blocks):
-        p_d = T.reshape(T.slice_axis(p, 3, d, 1), (b, cfg.n, cfg.w_p))
-        u_d = scs.window_covariance(p_d, cfg.scs_cfg.z_s, cfg.eps_spd)
-        a_s = adb.base_adjacency(u_d)
-        if cfg.has_adb:
-            q = adb.bilinear_query(u_d, prm["adb.bank"])
-            alpha = adb.ndv(q, prm["adb.ffn_w1"], prm["adb.ffn_b1"],
-                            prm["adb.ffn_w2"], prm["adb.ffn_b2"])
-            a_s = adb.refine_adjacency(alpha, a_s)
-        spd_blocks.append(fusion.multihop_conv(adb.node_features(u_d), a_s, cfg.r_s))
+    for d in range(blocks.shape[3]):
+        p_d = T.reshape(T.slice_axis(blocks, 3, d, 1), (b, cfg.n, cfg.w_p))
+        if cfg.has_spd:
+            u_d = scs.window_covariance(p_d, cfg.scs_cfg.z_s, cfg.eps_spd)
+            a_s = adb.base_adjacency(u_d)
+            if cfg.has_adb:
+                q = adb.bilinear_query(u_d, prm["adb.bank"])
+                alpha = adb.ndv(q, prm["adb.ffn_w1"], prm["adb.ffn_b1"],
+                                prm["adb.ffn_w2"], prm["adb.ffn_b2"])
+                a_s = adb.refine_adjacency(alpha, a_s)
+            h_s = fusion.multihop_conv(adb.node_features(u_d), a_s, cfg.r_s)
+            h_s = fusion.branch_features(h_s, prm["proj_s.w"], prm["proj_s.b"])
+            spd_blocks.append(T.reshape(h_s, (b, 1, cfg.n, cfg.f_s)))
         if cfg.has_euclid:
-            euc_blocks.append(fusion.multihop_conv(p_d, fusion.euclidean_adjacency(p_d),
-                                                   cfg.r_e))
-    u_s_c = fusion.branch_features(spd_blocks, prm["proj_s.w"], prm["proj_s.b"])
-    u_e_c = (fusion.branch_features(euc_blocks, prm["proj_e.w"], prm["proj_e.b"])
-             if cfg.has_euclid else None)
+            h_e = fusion.multihop_conv(p_d, fusion.euclidean_adjacency(p_d), cfg.r_e)
+            h_e = fusion.branch_features(h_e, prm["proj_e.w"], prm["proj_e.b"])
+            euc_blocks.append(T.reshape(h_e, (b, 1, cfg.n, cfg.f_e)))
+    u_s_c = T.concat(spd_blocks, 1) if spd_blocks else None
+    u_e_c = T.concat(euc_blocks, 1) if euc_blocks else None
     mlp = {k.split(".", 1)[1]: v for k, v in prm.items() if k.startswith("mlp.")}
     return fusion.fuse_and_predict(u_s_c, u_e_c, cfg.w_s, cfg.w_e, mlp)
 
@@ -59,7 +66,7 @@ def predictions_and_grads(model: HSMGNN, forward, x, y):
 
 
 @pytest.mark.parametrize("n", [3, 14, 64])
-@pytest.mark.parametrize("variant", ["complete", "no-adb", "no-fgcn"])
+@pytest.mark.parametrize("variant", ["complete", "no-adb", "no-fgcn", "no-scs"])
 def test_factored_forward_matches_dense_reference(variant, n):
     model = HSMGNN(ablate(variant, ModelConfig(n=n, t=30)), seed=n)
     rng = np.random.default_rng(n)
@@ -90,9 +97,9 @@ def test_factored_stages_match_dense_stages(n):
     q = adb.factored_query(w, bank, eps)
     assert rel_diff(q.data, adb.bilinear_query(u, bank).data) < RTOL
     feats = fusion.factored_multihop(w, a, 2, proj_w, proj_b, eps)
-    dense = fusion.branch_features([fusion.multihop_conv(adb.node_features(u), a, 2)],
+    dense = fusion.branch_features(fusion.multihop_conv(adb.node_features(u), a, 2),
                                    proj_w, proj_b)
-    assert rel_diff(feats.data, dense.data[:, 0]) < RTOL
+    assert rel_diff(feats.data, dense.data) < RTOL
 
 
 def test_window_factors_rebuild_the_covariance_stack():
@@ -105,21 +112,37 @@ def test_window_factors_rebuild_the_covariance_stack():
         assert np.max(np.abs(u[:, :, :, m] - expected)) < 1e-13
 
 
+def training_graph(cfg: ModelConfig, b: int = 4) -> list[Tensor]:
+    """Every node of the graph of one training step's loss."""
+    model = HSMGNN(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    loss = model.loss(model.forward(rng.normal(size=(b, cfg.n, cfg.t))), rng.normal(size=b))
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
 def test_training_graph_never_holds_a_gram_stack():
     """No node of a training step is as large as the (B, N, N, M) stack."""
     b = 8
     cfg = ModelConfig(n=32, t=30, m_q=8, m_d=8, mlp_widths=(8, 8, 8))
-    model = HSMGNN(cfg, seed=0)
-    rng = np.random.default_rng(0)
-    loss = model.loss(model.forward(rng.normal(size=(b, cfg.n, cfg.t))), rng.normal(size=b))
+    nodes = training_graph(cfg, b)
     limit = b * cfg.n * cfg.n * cfg.num_windows
-    seen, stack, largest = set(), [loss], 0
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        largest = max(largest, node.data.size)
-        stack.extend(node._parents)
-    assert len(seen) > 100
+    largest = max(node.data.size for node in nodes)
+    assert len(nodes) > 100
     assert largest < limit, f"a node holds {largest} elements, limit {limit}"
+
+
+@pytest.mark.parametrize("variant", ["complete", "no-adb", "no-fgcn", "no-scs"])
+def test_graph_size_does_not_grow_with_the_block_count(variant):
+    """The blocks are a batch axis: one op node per stage, whatever K is."""
+    if variant == "no-scs":   # K = L = t // w_p raw blocks
+        configs = [ModelConfig(n=5, t=t, variant=variant) for t in (30, 60)]
+    else:                     # K = d_blocks CNN feature blocks
+        configs = [ModelConfig(n=5, t=30, d_blocks=d, variant=variant) for d in (1, 4)]
+    ops = [sum(1 for node in training_graph(cfg) if node._parents) for cfg in configs]
+    assert ops[0] == ops[1], f"op nodes per step: {ops}"

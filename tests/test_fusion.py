@@ -82,30 +82,24 @@ class TestBranchFeatures:
         blk = rng.normal(size=(2, 3, 5))
         w = Tensor(rng.normal(size=(5, 4)))
         b = Tensor(rng.normal(size=4))
-        out = fusion.branch_features([Tensor(blk)], w, b)
-        assert out.shape == (2, 1, 3, 4)
-        assert np.allclose(out.data[:, 0], blk @ w.data + b.data, atol=1e-12)
+        out = fusion.branch_features(Tensor(blk), w, b)
+        assert out.shape == (2, 3, 4)
+        assert np.allclose(out.data, blk @ w.data + b.data, atol=1e-12)
 
     def test_identity_projection(self):
         rng = np.random.default_rng(5)
-        blocks = [rng.normal(size=(1, 3, 4)) for _ in range(2)]
+        blocks = rng.normal(size=(1, 2, 3, 4))
         w = Tensor(np.eye(4))
         b = Tensor(np.zeros(4))
-        out = fusion.branch_features([Tensor(x) for x in blocks], w, b)
+        out = fusion.branch_features(Tensor(blocks), w, b)
         for d in range(2):
-            assert np.array_equal(out.data[:, d], blocks[d])
+            assert np.array_equal(out.data[:, d], blocks[:, d])
 
     def test_shape_contract(self):
         rng = np.random.default_rng(6)
-        out = fusion.branch_features([Tensor(rng.normal(size=(2, 3, 5))) for _ in range(4)],
+        out = fusion.branch_features(Tensor(rng.normal(size=(2, 4, 3, 5))),
                                      Tensor(rng.normal(size=(5, 2))), Tensor(np.zeros(2)))
         assert out.shape == (2, 4, 3, 2)
-
-    def test_inconsistent_widths(self):
-        with pytest.raises(ShapeError):
-            fusion.branch_features([Tensor(np.zeros((1, 2, 3))),
-                                    Tensor(np.zeros((1, 2, 4)))],
-                                   Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
 
 
 class TestFuseAndPredict:

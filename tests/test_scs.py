@@ -105,14 +105,21 @@ class TestWindowCovariance:
         assert max_rel_err(p.grad, numeric_grad(f, p.data)) < 1e-4
 
 
+def block_batch(p: np.ndarray) -> Tensor:
+    """CNN features (B, N, W_p, D) as the model's (B*D, N, W_p) block batch."""
+    b, n, w_p, d = p.shape
+    return Tensor(p.transpose(0, 3, 1, 2).reshape(b * d, n, w_p))
+
+
 class TestSpdTensor:
-    def test_single_block_reduces_to_window_covariance(self):
+    def test_block_batch_matches_per_block_calls(self):
         rng = np.random.default_rng(4)
-        p = rng.normal(size=(1, 3, 4, 1))
-        c = cfg(d_out=1)
-        stacked = scs.build_spd_tensor(Tensor(p), c)
-        direct = scs.window_covariance(Tensor(p[:, :, :, 0]), c.z_s, c.eps_spd)
-        assert np.array_equal(stacked.data[:, :, :, :, 0], direct.data)
+        p = rng.normal(size=(2, 3, 4, 3))
+        c = cfg(d_out=3)
+        batched = scs.window_covariance(block_batch(p), c.z_s, c.eps_spd).data
+        for d in range(3):
+            direct = scs.window_covariance(Tensor(p[:, :, :, d]), c.z_s, c.eps_spd).data
+            assert np.array_equal(batched[d::3], direct)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)
@@ -120,12 +127,12 @@ class TestSpdTensor:
         perm = np.array([2, 0, 3, 1])
         pm = np.eye(4)[perm]
         c = cfg()
-        u = scs.build_spd_tensor(Tensor(p), c).data
-        u_perm = scs.build_spd_tensor(Tensor(p[:, perm]), c).data
+        u = scs.window_covariance(block_batch(p), c.z_s, c.eps_spd).data
+        u_perm = scs.window_covariance(block_batch(p[:, perm]), c.z_s, c.eps_spd).data
         for m in range(c.num_windows):
             for d in range(2):
-                conjugated = pm @ u[0, :, :, m, d] @ pm.T
-                assert np.allclose(u_perm[0, :, :, m, d], conjugated, atol=1e-12)
+                conjugated = pm @ u[d, :, :, m] @ pm.T
+                assert np.allclose(u_perm[d, :, :, m], conjugated, atol=1e-12)
 
     def test_window_arithmetic_from_ratio(self):
         c = cfg(w_p=10, delta=0.3)
@@ -145,34 +152,25 @@ class TestSpdInvariants:
         rng = np.random.default_rng(6)
         c = cfg(w_p=6, delta=0.4)
         p = rng.normal(size=(2, 4, 6, 2))
-        u = scs.build_spd_tensor(Tensor(p), c).data
-        for b in range(2):
+        u = scs.window_covariance(block_batch(p), c.z_s, c.eps_spd).data
+        for bd in range(4):
             for m in range(c.num_windows):
-                for d in range(2):
-                    s = u[b, :, :, m, d]
-                    assert np.max(np.abs(s - s.T)) == 0.0
-                    for _ in range(20):
-                        x = rng.normal(size=4)
-                        assert x @ s @ x >= c.eps_spd * (x @ x) - 1e-9
+                s = u[bd, :, :, m]
+                assert np.max(np.abs(s - s.T)) == 0.0
+                for _ in range(20):
+                    x = rng.normal(size=4)
+                    assert x @ s @ x >= c.eps_spd * (x @ x) - 1e-9
 
     def test_min_eigenvalue_oracle(self):
         # offline eigen check only; the forward path never decomposes
         rng = np.random.default_rng(7)
         c = cfg(w_p=5, delta=0.5)
         p = rng.normal(size=(1, 3, 5, 2))
-        u = scs.build_spd_tensor(Tensor(p), c).data
+        u = scs.window_covariance(block_batch(p), c.z_s, c.eps_spd).data
         for m in range(c.num_windows):
             for d in range(2):
-                ev = np.linalg.eigvalsh(u[0, :, :, m, d])
+                ev = np.linalg.eigvalsh(u[d, :, :, m])
                 assert ev.min() >= c.eps_spd - 1e-9
-
-
-def test_fold_channels():
-    x = np.arange(2 * 3 * 2, dtype=float).reshape(2, 3, 2)
-    folded = scs.fold_channels(x)
-    assert folded.shape == (4, 3)
-    assert np.array_equal(folded[0], x[0, :, 0])
-    assert np.array_equal(folded[1], x[0, :, 1])
 
 
 def test_delta_out_of_range():

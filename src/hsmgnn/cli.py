@@ -18,13 +18,23 @@ from pathlib import Path
 from . import data as D
 from . import training
 from .errors import ConfigError, ContractError, FormatError, NumericsError, ShapeError
-from .model import HSMGNN, ModelConfig, VARIANTS
+from .model import HSMGNN, ModelConfig, VARIANTS, check_value
 from .training import TrainConfig
 
 MODEL_KEYS = set(ModelConfig.__dataclass_fields__) - {"n", "t"}
 TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
 EXTRA_KEYS = {"valid_frac"}
 ALLOWED_KEYS = MODEL_KEYS | TRAIN_KEYS | EXTRA_KEYS
+
+
+def parse_value(raw: str):
+    """A `--set` value or `--values` item: JSON, else an int or float literal, else the text."""
+    for parse in (json.loads, int, float):
+        try:
+            return parse(raw)
+        except ValueError:
+            pass
+    return raw
 
 
 def load_run_config(path: str | None, overrides: list[str], seed: int | None) -> dict:
@@ -41,17 +51,14 @@ def load_run_config(path: str | None, overrides: list[str], seed: int | None) ->
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        try:
-            cfg[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            cfg[key] = raw
+        cfg[key] = parse_value(raw)
     unknown = set(cfg) - ALLOWED_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if seed is not None:
         cfg["seed"] = seed
     elif "seed" not in cfg and os.environ.get("HSMGNN_SEED"):
-        cfg["seed"] = int(os.environ["HSMGNN_SEED"])
+        cfg["seed"] = parse_value(os.environ["HSMGNN_SEED"])
     return cfg
 
 
@@ -63,7 +70,7 @@ def build_configs(cfg: dict, sset: D.SampleSet) -> tuple[ModelConfig, TrainConfi
         model_kwargs.setdefault("n_classes", sset.n_classes)
     model_cfg = ModelConfig(n=n * c, t=t, **model_kwargs)
     train_cfg = TrainConfig(**{k: v for k, v in cfg.items() if k in TRAIN_KEYS})
-    return model_cfg, train_cfg, float(cfg.get("valid_frac", 0.1))
+    return model_cfg, train_cfg, check_value("valid_frac", cfg.get("valid_frac", 0.1), float)
 
 
 def write_outputs(out_dir: Path, resolved: dict, rows: list[dict]) -> None:
@@ -170,12 +177,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     sset, model_cfg, train_cfg, valid_frac = setup_run(args)
-    if args.param == "fusion_weights":
-        values = [tuple(float(x) for x in pair.split(":")) for pair in args.values.split(",")]
-    elif args.param == "delta":
-        values = [float(v) for v in args.values.split(",")]
-    else:
-        values = [int(v) for v in args.values.split(",")]
+    values = [tuple(map(parse_value, item.split(":"))) for item in args.values.split(",")]
     train_set, valid_set, test_set = _load_sets_from(sset, args, valid_frac, train_cfg.seed)
     rows = training.sweep(args.param, values, model_cfg, train_cfg,
                           train_set, valid_set, test_set)

@@ -73,7 +73,8 @@ class SampleSet:
 CMAPSS_COLUMNS = 26  # unit, cycle, 3 settings, 21 sensors
 
 
-def _read_cmapss_table(path: Path) -> np.ndarray:
+def _read_cmapss_table(path: Path, columns: int = CMAPSS_COLUMNS) -> np.ndarray:
+    """A whitespace-separated numeric table with `columns` fields per line."""
     if not path.exists():
         raise IOError(f"missing file: {path}")
     rows = []
@@ -82,11 +83,16 @@ def _read_cmapss_table(path: Path) -> np.ndarray:
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) != CMAPSS_COLUMNS:
+            if len(parts) != columns:
                 raise FormatError(
-                    f"{path}: line {lineno} has {len(parts)} columns, expected {CMAPSS_COLUMNS}"
+                    f"{path}: line {lineno} has {len(parts)} columns, expected {columns}"
                 )
-            rows.append([float(v) for v in parts])
+            try:
+                rows.append([float(v) for v in parts])
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from None
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64)
 
 
@@ -102,6 +108,8 @@ def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
     data_dir = Path(data_dir)
     if split not in ("train", "test"):
         raise ConfigError(f"split must be 'train' or 'test', got {split!r}")
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
     train = _read_cmapss_table(data_dir / f"train_{subset}.txt")
     sensors = train[:, 5:]
     keep = sensors.std(axis=0) > 1e-12
@@ -116,12 +124,12 @@ def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
     else:
         table = _read_cmapss_table(data_dir / f"test_{subset}.txt")
         rul_path = data_dir / f"RUL_{subset}.txt"
-        if not rul_path.exists():
-            raise IOError(f"missing file: {rul_path}")
-        truth = np.loadtxt(rul_path).reshape(-1)
+        truth = _read_cmapss_table(rul_path, columns=1)[:, 0]
 
     windows, labels, units = [], [], []
     unit_ids = np.unique(table[:, 0]).astype(int)
+    if truth is not None and len(truth) < len(unit_ids):
+        raise FormatError(f"{rul_path}: {len(truth)} RUL values for {len(unit_ids)} test units")
     for pos, uid in enumerate(sorted(unit_ids)):
         traj = table[table[:, 0] == uid]
         values = (traj[:, 5:][:, keep] - mean) / std   # (cycles, channels)
@@ -142,6 +150,8 @@ def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
             labels.append(min(rul_cap, float(truth[pos])))
             units.append(uid)
 
+    if not windows:
+        raise ConfigError(f"window {window} is longer than every training trajectory")
     arr = np.stack(windows)[:, :, :, None]  # (S, N, T, 1)
     return SampleSet(arr, np.array(labels), "regression", names, stats,
                      np.array(units))
@@ -158,6 +168,8 @@ def load_csv(path, label_column: str = "label", window: int = 1,
     String labels imply classification with classes in sorted order.
     """
     path = Path(path)
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
     if not path.exists():
         raise IOError(f"missing file: {path}")
     with open(path) as fh:
@@ -180,9 +192,9 @@ def load_csv(path, label_column: str = "label", window: int = 1,
                 rows.append([float(p) for i, p in enumerate(parts) if i != label_idx])
             except ValueError as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from None
-    if len(rows) % window != 0:
+    if not rows or len(rows) % window != 0:
         raise FormatError(
-            f"{path}: {len(rows)} data rows not divisible by window length {window}"
+            f"{path}: {len(rows)} data rows, not a positive multiple of window length {window}"
         )
     values = np.array(rows, dtype=np.float64)
     if task is None:

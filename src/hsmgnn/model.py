@@ -9,11 +9,16 @@ so `HSMGNN.forward` runs every stage once on a (B*K, N, W_p) batch. The
 SPD branch runs on the window factors of the covariances and never forms
 the (N, N, M) stack (see `scs`). Ablation variants drop stages (`has_spd`,
 `has_adb`, `has_euclid`) and their parameters.
+
+`ModelConfig` holds every model hyperparameter, the SCS ones included, and
+checks the type and range of each once, at construction (`check_fields`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -24,6 +29,35 @@ from .errors import ConfigError
 from .tensor import Tensor
 
 VARIANTS = ("complete", "no-scs", "no-adb", "no-fgcn")
+
+
+def check_value(name: str, value, kind):
+    """`value` as a field annotated `kind`, or ConfigError.
+
+    `kind` is int, float, str, `X | None` or a fixed-length tuple. Ints widen
+    to float, a list becomes a tuple; bools are not numbers, floats are finite.
+    """
+    args = get_args(kind)
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise ConfigError(f"{name} must be a list of {len(args)} values, got {value!r}")
+        return tuple(check_value(name, v, a) for v, a in zip(value, args))
+    if args:  # X | None
+        if value is None:
+            return None
+        kind = args[0]
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if (not isinstance(value, kind) or isinstance(value, bool)
+            or kind is float and not math.isfinite(value)):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def check_fields(cfg) -> None:
+    """Type-check and normalize every field of a config dataclass in place."""
+    for name, kind in get_type_hints(type(cfg)).items():
+        setattr(cfg, name, check_value(name, getattr(cfg, name), kind))
 
 
 @dataclass
@@ -50,30 +84,40 @@ class ModelConfig:
     variant: str = "complete"
 
     def __post_init__(self):
+        check_fields(self)
+        # every int field is a size, a width or a count
+        small = [k for k, v in vars(self).items() if isinstance(v, int) and v < 1]
+        if small or min(self.mlp_widths) < 1:
+            raise ConfigError(f"{', '.join(small) or 'mlp_widths'} must be >= 1")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.head not in ("regression", "classification"):
             raise ConfigError(f"unknown head {self.head!r}")
         if self.head == "classification" and self.n_classes < 2:
             raise ConfigError("classification head needs n_classes >= 2")
-        if self.r_s < 1 or self.r_e < 1:
-            raise ConfigError("hop counts must be >= 1")
+        if self.t < self.w_p:
+            raise ConfigError(f"series length {self.t} shorter than block length {self.w_p}")
+        if not 0.0 < self.delta < 1.0:
+            raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.kernel % 2 == 0:
+            raise ConfigError(f"kernel must be odd, got {self.kernel}")
+        if self.eps_spd <= 0:
+            raise ConfigError(f"eps_spd must be positive, got {self.eps_spd}")
         if self.w_s < 0 or self.w_e < 0:
             raise ConfigError("fusion weights must be non-negative")
-        self.mlp_widths = tuple(self.mlp_widths)
 
     @property
-    def scs_cfg(self) -> scs.ScsConfig:
-        return scs.ScsConfig(self.w_p, self.delta, self.d_blocks,
-                             self.cnn_hidden, self.eps_spd, self.kernel)
-
-    @property
-    def num_blocks(self) -> int:
-        return self.scs_cfg.num_blocks(self.t)
+    def z_s(self) -> int:
+        """Covariance window width: delta * W_p, rounded, at least 1."""
+        return max(1, round(self.delta * self.w_p))
 
     @property
     def num_windows(self) -> int:
-        return self.scs_cfg.num_windows
+        return self.w_p - self.z_s + 1
+
+    @property
+    def num_blocks(self) -> int:
+        return self.t // self.w_p
 
     @property
     def has_spd(self) -> bool:
@@ -159,7 +203,7 @@ class HSMGNN:
         cfg, prm = self.cfg, self.params
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         b = xt.shape[0]
-        blocks = scs.block_partition(xt, cfg.scs_cfg)                 # (B, N, W_p, L)
+        blocks = scs.block_partition(xt, cfg.w_p)                     # (B, N, W_p, L)
         if cfg.has_spd:
             blocks = scs.temporal_cnn(blocks, prm["cnn.w1"], prm["cnn.b1"],
                                       prm["cnn.w2"], prm["cnn.b2"])   # (B, N, W_p, D)
@@ -170,7 +214,7 @@ class HSMGNN:
 
         u_s_c = u_e_c = None
         if cfg.has_spd:
-            w = scs.window_factors(p, cfg.scs_cfg.z_s)
+            w = scs.window_factors(p, cfg.z_s)
             a_s = adb.factored_base_adjacency(w, cfg.eps_spd)
             if cfg.has_adb:
                 q = adb.factored_query(w, prm["adb.bank"], cfg.eps_spd)

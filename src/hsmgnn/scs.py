@@ -3,7 +3,7 @@
 Raw series are cut into non-overlapping temporal blocks, pushed through
 a two-layer temporal CNN, and each feature block is lifted to a stack of
 strictly positive-definite window Gram matrices. All functions take a
-leading batch axis.
+leading batch axis; W_p and z_s are plain ints (see `ModelConfig`).
 
 Every Gram slice is U_m = W_m W_m^T + eps*I, where the window factor W_m
 is the (N, z_s) stride-1 window m of a feature block. The model never
@@ -22,8 +22,6 @@ definition of the SPD embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -31,44 +29,14 @@ from .errors import ConfigError
 from .tensor import Tensor
 
 
-@dataclass
-class ScsConfig:
-    w_p: int              # block length in time steps
-    delta: float          # cross-decomposition ratio in (0, 1)
-    d_out: int            # number of output feature blocks
-    hidden: int           # CNN hidden channel count
-    eps_spd: float = 1e-6
-    kernel: int = 3
-
-    def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.w_p < 1 or self.d_out < 1 or self.hidden < 1:
-            raise ConfigError("w_p, d_out and hidden must be positive")
-        if self.kernel % 2 == 0:
-            raise ConfigError(f"kernel must be odd, got {self.kernel}")
-
-    @property
-    def z_s(self) -> int:
-        # the ratio rarely yields an integer window; round, floor at 1
-        return max(1, round(self.delta * self.w_p))
-
-    @property
-    def num_windows(self) -> int:
-        return self.w_p - self.z_s + 1
-
-    def num_blocks(self, t: int) -> int:
-        if t < self.w_p:
-            raise ConfigError(f"series length {t} shorter than block length {self.w_p}")
-        return t // self.w_p
-
-
-def block_partition(series: Tensor, cfg: ScsConfig) -> Tensor:
+def block_partition(series: Tensor, w_p: int) -> Tensor:
     """(B, N, T) -> (B, N, W_p, L); trailing T mod W_p steps are dropped."""
     b, n, t = series.shape
-    l = cfg.num_blocks(t)
-    kept = T.slice_axis(series, 2, 0, l * cfg.w_p)
-    return T.transpose(T.reshape(kept, (b, n, l, cfg.w_p)), (0, 1, 3, 2))
+    if t < w_p:
+        raise ConfigError(f"series length {t} shorter than block length {w_p}")
+    l = t // w_p
+    kept = T.slice_axis(series, 2, 0, l * w_p)
+    return T.transpose(T.reshape(kept, (b, n, l, w_p)), (0, 1, 3, 2))
 
 
 def temporal_cnn(blocks: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

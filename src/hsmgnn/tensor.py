@@ -101,28 +101,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- arithmetic sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other if isinstance(other, Tensor) else Tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return add(self, scale(other, -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import SampleSet
 from .errors import ConfigError, NumericsError
-from .model import HSMGNN, ModelConfig, VARIANTS, ablate
+from .model import HSMGNN, ModelConfig, VARIANTS, ablate, check_fields
 from .optim import Adam
 
 
@@ -24,10 +24,13 @@ class TrainConfig:
     max_steps: int | None = None   # optional hard cap, mostly for smoke runs
 
     def __post_init__(self):
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be positive")
+        check_fields(self)
+        small = [k for k in ("batch_size", "epochs", "patience", "max_steps")
+                 if getattr(self, k) is not None and getattr(self, k) < 1]
+        if small:
+            raise ConfigError(f"{', '.join(small)} must be >= 1")
+        if self.lr < 0 or self.seed < 0:
+            raise ConfigError("lr and seed must be non-negative")
 
 
 @dataclass
@@ -164,43 +167,34 @@ def run_ablations(base_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Samp
     return rows
 
 
-SWEEP_PARAMS = ("delta", "m_d", "m_q", "fusion_weights")
-
-
-def _apply_sweep_value(cfg: ModelConfig, param: str, value) -> ModelConfig:
-    if param == "fusion_weights":
-        w_s, w_e = value
-        return replace(cfg, w_s=float(w_s), w_e=float(w_e))
-    return replace(cfg, **{param: float(value) if param == "delta" else int(value)})
-
-
-def validate_sweep(param: str, values: list) -> None:
-    if param not in SWEEP_PARAMS:
-        raise ConfigError(f"unknown sweep parameter {param!r}, expected one of {SWEEP_PARAMS}")
-    for v in values:
-        if param == "delta":
-            if not (0.0 < float(v) < 1.0):
-                raise ConfigError(f"delta value {v} outside (0, 1)")
-        elif param in ("m_d", "m_q"):
-            if int(v) < 1:
-                raise ConfigError(f"{param} value {v} must be a positive integer")
-        else:
-            w_s, w_e = v
-            if float(w_s) < 0 or float(w_e) < 0:
-                raise ConfigError(f"fusion weights {v} must be non-negative")
+# each sweep parameter and the config field(s) one of its values sets
+SWEEP_PARAMS = {"delta": ("delta",), "m_d": ("m_d",), "m_q": ("m_q",),
+                "fusion_weights": ("w_s", "w_e")}
 
 
 def sweep(param: str, values: list, base_cfg: ModelConfig, train_cfg: TrainConfig,
           train_set: SampleSet, valid_set: SampleSet,
           test_set: SampleSet) -> list[dict]:
-    """One train+evaluate per value; all values validated up front."""
-    validate_sweep(param, values)
-    rows = []
+    """One train+evaluate per value; every config is built before any training.
+
+    A value of a multi-field parameter (`fusion_weights`) is a tuple with
+    one entry per field.
+    """
+    if param not in SWEEP_PARAMS:
+        raise ConfigError(f"unknown sweep parameter {param!r}, choose from {[*SWEEP_PARAMS]}")
+    fields = SWEEP_PARAMS[param]
+    cfgs = []
     for value in values:
-        cfg = _apply_sweep_value(base_cfg, param, value)
+        parts = value if isinstance(value, tuple) else (value,)
+        if len(parts) != len(fields):
+            raise ConfigError(f"{param} takes {len(fields)} number(s) per value, got {value!r}")
+        cfgs.append(replace(base_cfg, **dict(zip(fields, parts))))
+    rows = []
+    for cfg in cfgs:
         model, _ = train(cfg, train_cfg, train_set, valid_set)
         report = evaluate(model, test_set)
-        label = f"{value[0]},{value[1]}" if param == "fusion_weights" else value
+        value = [getattr(cfg, f) for f in fields]
+        label = value[0] if len(value) == 1 else ",".join(map(str, value))
         rows.append({"param": param, "value": label, "seed": train_cfg.seed,
                      **report.to_dict()})
     return rows

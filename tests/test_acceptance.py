@@ -16,7 +16,6 @@ from hsmgnn import HSMGNN, ModelConfig, TrainConfig, ablate, evaluate, train
 from hsmgnn import adb, data as D, fusion, scs
 from hsmgnn import tensor as T
 from hsmgnn.checkpoint import load_checkpoint
-from hsmgnn.scs import ScsConfig
 from hsmgnn.tensor import Tensor
 
 CMAPSS_DIR = os.environ.get("HSMGNN_CMAPSS_DIR")
@@ -54,7 +53,7 @@ def test_criterion_1_gradient_suite():
 
 def test_criterion_2_geometric_invariants():
     rng = np.random.default_rng(2)
-    cfg = ScsConfig(w_p=6, delta=0.4, d_out=1, hidden=1)
+    cfg = ModelConfig(n=1, t=6, w_p=6, delta=0.4)
     n, checked = 4, 0
     while checked < 1000:
         p = Tensor(rng.normal(size=(8, n, cfg.w_p)))
@@ -138,7 +137,7 @@ def test_criterion_4_closed_form_anchors():
         assert np.all(model.params[k].grad == 0.0), k
 
     # window arithmetic: block length 4 with window 2 gives 3 windows
-    c = ScsConfig(w_p=4, delta=0.5, d_out=1, hidden=1)
+    c = ModelConfig(n=1, t=4, w_p=4, delta=0.5)
     assert c.z_s == 2 and c.num_windows == 3
     print("ACCEPTANCE 4 (closed-form anchors): PASS")
 

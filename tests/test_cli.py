@@ -223,3 +223,98 @@ def test_seed_env_fallback(tmp_path, toy_data, monkeypatch):
                  "--out", str(out)]) == 0
     resolved = json.loads((out / "resolved-config.json").read_text())
     assert resolved["train.seed"] == 7
+
+
+def _run(command, *extra):
+    return lambda tmp, run: [command, *run, *extra]
+
+
+def _seed_env(tmp, run):
+    config = tmp / "noseed.json"
+    config.write_text(json.dumps({k: v for k, v in TINY.items() if k != "seed"}))
+    return ["train", *run, "--config", str(config)]
+
+
+def _turbofan(window="8", name=None, edit=None):
+    """`prepare` of synthetic turbofan files, the text of file `name` passed through `edit`."""
+    def argv(tmp, run):
+        from test_data import write_turbofan_files
+
+        write_turbofan_files(tmp)
+        if name:
+            (tmp / name).write_text(edit((tmp / name).read_text()))
+        return ["prepare", "--dataset", "cmapss", "--input", str(tmp),
+                "--output", str(tmp / "x.mtsd"), "--window", window]
+    return argv
+
+
+def _csv(text, window):
+    def argv(tmp, run):
+        (tmp / "in.csv").write_text(text)
+        return ["prepare", "--dataset", "csv", "--input", str(tmp / "in.csv"),
+                "--output", str(tmp / "x.mtsd"), "--window", window]
+    return argv
+
+
+def _bad_token(text):
+    return text.replace("42.0", "4x.0", 1)
+
+
+def _drop_last_line(text):
+    return "".join(text.splitlines(True)[:-1])
+
+
+MALFORMED = [
+    pytest.param(_run("train", "--set", "w_p=abc"), id="set-w_p-abc"),
+    pytest.param(_run("train", "--set", "mlp_widths=5"), id="set-mlp_widths-5"),
+    pytest.param(_run("train", "--set", "batch_size=abc"), id="set-batch_size-abc"),
+    pytest.param(_run("train", "--set", "lr=abc"), id="set-lr-abc"),
+    pytest.param(_run("train", "--set", "max_steps=abc"), id="set-max_steps-abc"),
+    pytest.param(_run("train", "--set", "epochs=1.5"), id="set-epochs-1.5"),
+    pytest.param(_run("train", "--set", "m_q=0"), id="set-m_q-0"),
+    pytest.param(_run("train", "--set", "f_s=0"), id="set-f_s-0"),
+    pytest.param(_run("train", "--set", "eps_spd=0"), id="set-eps_spd-0"),
+    pytest.param(_run("train", "--set", "valid_frac=abc"), id="set-valid_frac-abc"),
+    pytest.param(_seed_env, id="env-seed-abc"),
+    pytest.param(_run("sweep", "--param", "delta", "--values", "abc"), id="sweep-delta-abc"),
+    pytest.param(_run("sweep", "--param", "m_d", "--values", "1.5"), id="sweep-m_d-1.5"),
+    pytest.param(_run("sweep", "--param", "fusion_weights", "--values", "0.5"),
+                 id="sweep-fusion_weights-0.5"),
+    pytest.param(_turbofan(name="train_FD001.txt", edit=_bad_token), id="cmapss-train-token"),
+    pytest.param(_turbofan(name="test_FD001.txt", edit=_bad_token), id="cmapss-test-token"),
+    pytest.param(_turbofan(name="RUL_FD001.txt", edit=lambda s: s.replace(".0", ".x", 1)),
+                 id="cmapss-rul-token"),
+    pytest.param(_turbofan(name="RUL_FD001.txt", edit=_drop_last_line), id="cmapss-rul-short"),
+    pytest.param(_turbofan(window="-1"), id="cmapss-window-negative"),
+    pytest.param(_turbofan(window="0"), id="cmapss-window-0"),
+    pytest.param(_turbofan(window="100"), id="cmapss-window-too-long"),
+    pytest.param(_csv("a,label\n1,0\n2,1\n", "0"), id="csv-window-0"),
+    pytest.param(_csv("a,label\n", "1"), id="csv-header-only"),
+]
+
+
+@pytest.mark.parametrize("make_argv", MALFORMED)
+def test_malformed_input_exits_two(make_argv, tmp_path, toy_data, config_file, capsys,
+                                   monkeypatch):
+    monkeypatch.setenv("HSMGNN_SEED", "abc")  # read only when no seed is configured
+    run = ["--config", str(config_file), "--data", str(toy_data), "--out", str(tmp_path / "o")]
+    assert main(make_argv(tmp_path, run)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("param,values,labels,overrides", [
+    ("delta", ".5,1e-1", [0.5, 0.1], [["delta=0.5"], ["delta=0.1"]]),
+    ("fusion_weights", "1:0", ["1.0,0.0"], [["w_s=1.0", "w_e=0.0"]]),
+])
+def test_sweep_values_parse_like_set(param, values, labels, overrides, tmp_path, toy_data,
+                                     config_file):
+    run = ["--config", str(config_file), "--data", str(toy_data), "--set", "epochs=1"]
+    assert main(["sweep", *run, "--out", str(tmp_path / "s"), "--param", param,
+                 "--values", values]) == 0
+    rows = json.loads((tmp_path / "s" / "metrics.json").read_text())
+    assert [r["value"] for r in rows] == labels
+    for row, sets in zip(rows, overrides):
+        out = tmp_path / "t"
+        assert main(["train", *run, "--out", str(out),
+                     *(arg for s in sets for arg in ("--set", s))]) == 0
+        assert row["rmse"] == json.loads((out / "metrics.json").read_text())[0]["rmse"]

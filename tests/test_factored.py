@@ -25,7 +25,7 @@ def dense_forward(model: HSMGNN, x: np.ndarray) -> Tensor:
     """The forward pass, one block at a time, through the dense (B, N, N, M) stack."""
     cfg, prm = model.cfg, model.params
     b = x.shape[0]
-    blocks = scs.block_partition(Tensor(x), cfg.scs_cfg)
+    blocks = scs.block_partition(Tensor(x), cfg.w_p)
     if cfg.has_spd:
         blocks = scs.temporal_cnn(blocks, prm["cnn.w1"], prm["cnn.b1"],
                                   prm["cnn.w2"], prm["cnn.b2"])
@@ -33,7 +33,7 @@ def dense_forward(model: HSMGNN, x: np.ndarray) -> Tensor:
     for d in range(blocks.shape[3]):
         p_d = T.reshape(T.slice_axis(blocks, 3, d, 1), (b, cfg.n, cfg.w_p))
         if cfg.has_spd:
-            u_d = scs.window_covariance(p_d, cfg.scs_cfg.z_s, cfg.eps_spd)
+            u_d = scs.window_covariance(p_d, cfg.z_s, cfg.eps_spd)
             a_s = adb.base_adjacency(u_d)
             if cfg.has_adb:
                 q = adb.bilinear_query(u_d, prm["adb.bank"])

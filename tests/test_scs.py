@@ -5,36 +5,37 @@ from conftest import max_rel_err, numeric_grad
 from hsmgnn import scs
 from hsmgnn import tensor as T
 from hsmgnn.errors import ConfigError
-from hsmgnn.scs import ScsConfig
+from hsmgnn.model import ModelConfig
 from hsmgnn.tensor import Tensor
 
 
 def cfg(w_p=4, delta=0.5, d_out=2, hidden=2, **kw):
-    return ScsConfig(w_p, delta, d_out, hidden, **kw)
+    return ModelConfig(n=1, t=w_p, w_p=w_p, delta=delta, d_blocks=d_out, cnn_hidden=hidden,
+                       **kw)
 
 
 class TestBlockPartition:
     def test_trailing_steps_dropped(self):
         series = Tensor(np.arange(2 * 2 * 10, dtype=float).reshape(2, 2, 10))
-        out = scs.block_partition(series, cfg(w_p=4))
+        out = scs.block_partition(series, 4)
         assert out.shape == (2, 2, 4, 2)  # L = 2, last 2 steps gone
 
     def test_single_block_is_identity(self):
         x = np.random.default_rng(0).normal(size=(1, 3, 4))
-        out = scs.block_partition(Tensor(x), cfg(w_p=4))
+        out = scs.block_partition(Tensor(x), 4)
         assert np.array_equal(out.data[:, :, :, 0], x)
 
     def test_ramp_block_offsets(self):
         # ramp 0..T-1: block l starts at value (l-1) * W_p
         t = 12
         x = np.tile(np.arange(float(t)), (1, 1, 1))
-        out = scs.block_partition(Tensor(x), cfg(w_p=4))
+        out = scs.block_partition(Tensor(x), 4)
         assert out.data[0, 0, 0, 1] == 4.0
         assert out.data[0, 0, 0, 2] == 8.0
 
     def test_too_short_series(self):
         with pytest.raises(ConfigError):
-            scs.block_partition(Tensor(np.zeros((1, 2, 3))), cfg(w_p=4))
+            scs.block_partition(Tensor(np.zeros((1, 2, 3))), 4)
 
 
 class TestTemporalCnn:
@@ -175,4 +176,4 @@ class TestSpdInvariants:
 
 def test_delta_out_of_range():
     with pytest.raises(ConfigError):
-        ScsConfig(4, 1.5, 2, 2)
+        cfg(delta=1.5)

@@ -131,9 +131,16 @@ class TestSweep:
         assert len(rows) == 5
         assert [r["value"] for r in rows] == [0.1, 0.3, 0.5, 0.7, 0.9]
 
-    def test_bank_size_grid_accepted(self):
-        training.validate_sweep("m_d", [12, 16, 32, 64, 128])
-        training.validate_sweep("m_q", [32, 64])
+    def test_bank_size_grid_accepted(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(training, "train", lambda cfg, *a: (trained.append(cfg), None))
+        monkeypatch.setattr(training, "evaluate",
+                            lambda *a: training.MetricsReport("regression", rmse=0.0))
+        tr, va, te = self._sets()
+        sweep("m_d", [12, 16, 32, 64, 128], tiny_cfg(), TrainConfig(), tr, va, te)
+        sweep("m_q", [32, 64], tiny_cfg(), TrainConfig(), tr, va, te)
+        assert [c.m_d for c in trained[:5]] == [12, 16, 32, 64, 128]
+        assert [c.m_q for c in trained[5:]] == [32, 64]
 
     def test_fusion_weight_pairs(self):
         tr, va, te = self._sets()
@@ -142,14 +149,18 @@ class TestSweep:
                      tiny_cfg(), tc, tr, va, te)
         assert len(rows) == 3
 
-    def test_invalid_value_rejected_before_training(self):
+    def test_invalid_value_rejected_before_training(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(training, "train", lambda cfg, *a: trained.append(cfg))
         tr, va, te = self._sets()
         with pytest.raises(ConfigError):
             sweep("delta", [0.5, 1.5], tiny_cfg(), TrainConfig(), tr, va, te)
+        assert trained == []
 
     def test_unknown_param(self):
+        tr, va, te = self._sets()
         with pytest.raises(ConfigError):
-            training.validate_sweep("gamma", [1])
+            sweep("gamma", [1], tiny_cfg(), TrainConfig(), tr, va, te)
 
 
 class TestModelConfig:

@@ -30,7 +30,7 @@ class SampleSet:
     task: str
     sensor_names: list[str] = field(default_factory=list)
     norm_stats: dict | None = None      # {"mean": (channels,), "std": (channels,)}
-    unit_ids: np.ndarray | None = None  # trajectory id per sample, for leakage-free splits
+    unit_ids: np.ndarray | None = None  # trajectory id per sample, for a unit-level carve-out
 
     def __post_init__(self):
         if self.task not in TASK_CODES:
@@ -41,8 +41,8 @@ class SampleSet:
             raise ConfigError(f"windows must be (S, N, T, C), got {self.windows.shape}")
         if len(self.labels) != len(self.windows):
             raise ConfigError("label count does not match window count")
-        if np.isnan(self.windows).any() or np.isnan(self.labels).any():
-            raise FormatError("NaN values after ingestion")
+        if not (np.isfinite(self.windows).all() and np.isfinite(self.labels).all()):
+            raise FormatError("NaN or infinite values after ingestion")
 
     def __len__(self) -> int:
         return len(self.windows)
@@ -215,35 +215,7 @@ def load_csv(path, label_column: str = "label", window: int = 1,
     return SampleSet(windows, labels, task, sensor_names)
 
 
-# -- splitting ------------------------------------------------------------
-
-def split(sset: SampleSet, train_frac: float, valid_frac: float,
-          seed: int = 0) -> tuple[SampleSet, SampleSet, SampleSet]:
-    """Deterministic (train, valid, test) split; unit-level when ids exist."""
-    if not (0.0 < train_frac < 1.0) or not (0.0 < valid_frac < 1.0):
-        raise ConfigError("fractions must lie in (0, 1)")
-    if train_frac + valid_frac >= 1.0:
-        raise ConfigError("train_frac + valid_frac must leave room for a test share")
-    rng = np.random.default_rng(seed)
-    if sset.unit_ids is not None:
-        units = np.sort(np.unique(sset.unit_ids))
-        rng.shuffle(units)
-        n_train = int(round(train_frac * len(units)))
-        n_valid = int(round(valid_frac * len(units)))
-        groups = (units[:n_train], units[n_train:n_train + n_valid],
-                  units[n_train + n_valid:])
-        parts = [np.isin(sset.unit_ids, g) for g in groups]
-    else:
-        order = rng.permutation(len(sset))
-        n_train = int(round(train_frac * len(sset)))
-        n_valid = int(round(valid_frac * len(sset)))
-        parts = [order[:n_train], order[n_train:n_train + n_valid],
-                 order[n_train + n_valid:]]
-    out = tuple(sset.subset(p) for p in parts)
-    if any(len(p) == 0 for p in out):
-        raise ConfigError("split produced an empty partition")
-    return out
-
+# -- validation carve-out -------------------------------------------------
 
 def carve_validation(sset: SampleSet, valid_frac: float = 0.1,
                      seed: int = 0) -> tuple[SampleSet, SampleSet]:

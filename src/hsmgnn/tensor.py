@@ -7,6 +7,10 @@ order and accumulates gradients into every tensor created with
 `requires_grad=True`. Gradients accumulate across calls until
 `zero_grad()` is invoked, matching the usual training-loop contract.
 
+`conv1d`, `sliding_windows` and `mean_all` are compositions of the other
+ops and define no backward of their own: the first two multiply by a
+constant 0/1 shift matrix (`_shift_matrix`) and reshape.
+
 No operation here performs an eigenvalue or Cholesky decomposition.
 """
 
@@ -181,15 +185,6 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    return _make(data, (a,), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(
@@ -287,10 +282,24 @@ def mean_all(a: Tensor) -> Tensor:
     return scale(sum_all(a), 1.0 / a.data.size)
 
 
+def _shift_matrix(length: int, shifts: int, pad: int) -> np.ndarray:
+    """0/1 matrix E of shape (length, shifts * out) with out = length + 2*pad - shifts + 1.
+
+    Column j*out + l picks position l + j - pad of a length-`length` axis, or
+    nothing where that falls in the padding, so x @ E lays the `shifts`
+    shifted copies of x side by side.
+    """
+    out = length + 2 * pad - shifts + 1
+    padded = np.eye(length, length + 2 * pad, pad)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, out, axis=1)
+    return windows.reshape(length, shifts * out)
+
+
 def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     """Length-preserving 1D cross-correlation with symmetric "same" padding.
 
-    x: (batch, C_in, L); w: (C_out, C_in, k) with k odd.
+    x: (batch, C_in, L); w: (C_out, C_in, k) with k odd. Lowered to one
+    product with the (C_in*k, L) patch matrix of each sample (im2col).
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError(f"conv1d expects rank-3 operands, got {x.data.shape}, {w.data.shape}")
@@ -301,28 +310,12 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(
             f"conv1d channel mismatch: input {x.data.shape} vs weight {w.data.shape}"
         )
-    pad = k // 2
-    length = x.data.shape[2]
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-    data = np.zeros((x.data.shape[0], c_out, length))
-    for j in range(k):
-        data += np.einsum("bcl,oc->bol", xp[:, :, j : j + length], w.data[:, :, j])
-    if bias is not None:
-        data += bias.data[None, :, None]
-
-    def backward(g):
-        gx = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
-        for j in range(k):
-            gx[:, :, j : j + length] += np.einsum("bol,oc->bcl", g, w.data[:, :, j])
-            gw[:, :, j] = np.einsum("bol,bcl->oc", g, xp[:, :, j : j + length])
-        x._accumulate(gx[:, :, pad : pad + length] if pad else gx)
-        w._accumulate(gw)
-        if bias is not None:
-            bias._accumulate(g.sum(axis=(0, 2)))
-
-    parents = (x, w) if bias is None else (x, w, bias)
-    return _make(data, parents, backward)
+    batch, _, length = x.data.shape
+    rows = reshape(x, (batch * c_in, length))
+    shifted = matmul(rows, Tensor(_shift_matrix(length, k, k // 2)))
+    patches = reshape(shifted, (batch, c_in * k, length))
+    out = matmul(reshape(w, (c_out, c_in * k)), patches)
+    return out if bias is None else add(out, reshape(bias, (c_out, 1)))
 
 
 def sliding_windows(a: Tensor, width: int) -> Tensor:
@@ -334,15 +327,9 @@ def sliding_windows(a: Tensor, width: int) -> Tensor:
     if not (1 <= width <= length):
         raise ConfigError(f"window length {width} outside [1, {length}]")
     count = length - width + 1
-    data = np.lib.stride_tricks.sliding_window_view(a.data, width, axis=-1).copy()
-
-    def backward(g):
-        grad = np.zeros_like(a.data)
-        for k in range(width):
-            grad[..., k : k + count] += g[..., k]
-        a._accumulate(grad)
-
-    return _make(data, (a,), backward)
+    rows = reshape(a, (-1, length))
+    windows = matmul(rows, Tensor(_shift_matrix(length, count, 0)))
+    return reshape(windows, a.data.shape[:-1] + (count, width))
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -175,10 +175,11 @@ SWEEP_PARAMS = {"delta": ("delta",), "m_d": ("m_d",), "m_q": ("m_q",),
 def sweep(param: str, values: list, base_cfg: ModelConfig, train_cfg: TrainConfig,
           train_set: SampleSet, valid_set: SampleSet,
           test_set: SampleSet) -> list[dict]:
-    """One train+evaluate per value; every config is built before any training.
+    """One row per value; every config is built before any training.
 
     A value of a multi-field parameter (`fusion_weights`) is a tuple with
-    one entry per field.
+    one entry per field. Values that build the same model (equal configs,
+    or delta values that round to the same z_s) share one train+evaluate.
     """
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {param!r}, choose from {[*SWEEP_PARAMS]}")
@@ -189,12 +190,14 @@ def sweep(param: str, values: list, base_cfg: ModelConfig, train_cfg: TrainConfi
         if len(parts) != len(fields):
             raise ConfigError(f"{param} takes {len(fields)} number(s) per value, got {value!r}")
         cfgs.append(replace(base_cfg, **dict(zip(fields, parts))))
-    rows = []
+    rows, reports = [], {}
     for cfg in cfgs:
-        model, _ = train(cfg, train_cfg, train_set, valid_set)
-        report = evaluate(model, test_set)
+        model_key = tuple({**asdict(cfg), "delta": cfg.z_s}.items())  # delta acts via z_s
+        if model_key not in reports:
+            model, _ = train(cfg, train_cfg, train_set, valid_set)
+            reports[model_key] = evaluate(model, test_set).to_dict()
         value = [getattr(cfg, f) for f in fields]
         label = value[0] if len(value) == 1 else ",".join(map(str, value))
         rows.append({"param": param, "value": label, "seed": train_cfg.seed,
-                     **report.to_dict()})
+                     **reports[model_key]})
     return rows

@@ -7,6 +7,7 @@ test_FD001.txt and RUL_FD001.txt to enable them.
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ def test_criterion_4_closed_form_anchors():
 
     # w_s = 0 kills all SPD-branch parameter gradients
     cfg = acceptance_config()
-    gated = ModelConfig.from_dict({**cfg.to_dict(), "w_s": 0.0})
+    gated = replace(cfg, w_s=0.0)
     model = HSMGNN(gated, seed=0)
     loss = model.loss(model.forward(rng.normal(size=(2, 3, 8))), rng.normal(size=2))
     loss.backward()

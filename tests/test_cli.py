@@ -290,6 +290,7 @@ MALFORMED = [
     pytest.param(_turbofan(window="100"), id="cmapss-window-too-long"),
     pytest.param(_csv("a,label\n1,0\n2,1\n", "0"), id="csv-window-0"),
     pytest.param(_csv("a,label\n", "1"), id="csv-header-only"),
+    pytest.param(_csv("a,label\n1,0\ninf,1\n", "1"), id="csv-inf-token"),
 ]
 
 
@@ -300,6 +301,24 @@ def test_malformed_input_exits_two(make_argv, tmp_path, toy_data, config_file, c
     run = ["--config", str(config_file), "--data", str(toy_data), "--out", str(tmp_path / "o")]
     assert main(make_argv(tmp_path, run)) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("param,values,labels", [
+    ("delta", "0.1,0.3", [0.1, 0.3]),  # with w_p = 4 both give z_s = 1
+    ("m_d", "8,8", [8, 8]),
+], ids=["delta", "m_d"])
+def test_sweep_trains_each_distinct_model_once(param, values, labels, tmp_path, toy_data,
+                                               config_file, monkeypatch):
+    calls = []
+    real_train = training.train
+    monkeypatch.setattr(training, "train", lambda *a: calls.append(a) or real_train(*a))
+    assert main(["sweep", "--config", str(config_file), "--data", str(toy_data),
+                 "--set", "epochs=1", "--out", str(tmp_path / "s"), "--param", param,
+                 "--values", values]) == 0
+    rows = json.loads((tmp_path / "s" / "metrics.json").read_text())
+    assert len(calls) == 1
+    assert [r["value"] for r in rows] == labels
+    assert rows[0]["rmse"] == rows[1]["rmse"]
 
 
 @pytest.mark.parametrize("param,values,labels,overrides", [

@@ -146,27 +146,30 @@ class TestSplit:
                            unit_ids=units)
 
     def test_deterministic(self):
-        a = D.split(self._set(), 0.8, 0.1, seed=3)
-        b = D.split(self._set(), 0.8, 0.1, seed=3)
+        a = D.carve_validation(self._set(), 0.1, seed=3)
+        b = D.carve_validation(self._set(), 0.1, seed=3)
         for x, y in zip(a, b):
             assert np.array_equal(x.windows, y.windows)
 
     def test_unit_fractions(self):
-        train, valid, test = D.split(self._set(100), 0.8, 0.1, seed=0)
-        assert len(np.unique(train.unit_ids)) == 80
-        assert len(np.unique(valid.unit_ids)) == 10
-        assert len(np.unique(test.unit_ids)) == 10
+        # per sample without unit ids; the carve-out holds at least one
+        sset = self._set(30)
+        sset.unit_ids = None
+        train, valid = D.carve_validation(sset, 0.1, seed=0)
+        assert (len(train), len(valid)) == (81, 9)
+        train, valid = D.carve_validation(self._set(3), 0.1, seed=0)
+        assert len(np.unique(valid.unit_ids)) == 1
 
     def test_no_unit_leakage(self):
-        train, valid, test = D.split(self._set(50), 0.6, 0.2, seed=1)
-        groups = [set(np.unique(p.unit_ids)) for p in (train, valid, test)]
-        assert not (groups[0] & groups[1])
-        assert not (groups[0] & groups[2])
-        assert not (groups[1] & groups[2])
+        sset = self._set(50)
+        train, valid = D.carve_validation(sset, 0.2, seed=1)
+        assert not (set(train.unit_ids) & set(valid.unit_ids))
+        assert len(train) + len(valid) == len(sset)
 
     def test_bad_fractions(self):
-        with pytest.raises(ConfigError):
-            D.split(self._set(10), 0.9, 0.2, seed=0)
+        for frac in (0.0, 1.0, 1.5):
+            with pytest.raises(ConfigError):
+                D.carve_validation(self._set(10), frac, seed=0)
 
     def test_carve_validation_unit_level(self):
         train, valid = D.carve_validation(self._set(20), 0.1, seed=0)
@@ -220,3 +223,11 @@ class TestCanonicalContainer:
         windows[0, 0, 0, 0] = np.nan
         with pytest.raises(FormatError):
             D.SampleSet(windows, np.zeros(1), "regression")
+
+    def test_infinite_window_rejected_on_load(self, tmp_path):
+        sset = D.SampleSet(np.zeros((2, 2, 3, 1)), np.zeros(2), "regression")
+        sset.windows[1, 0, 2, 0] = np.inf  # after the construction-time check
+        path = tmp_path / "inf.mtsd"
+        D.save_canonical(path, sset)
+        with pytest.raises(FormatError):
+            D.load_canonical(path)

@@ -111,6 +111,46 @@ class TestConv1d:
         for p in (x, w, b):
             assert max_rel_err(p.grad, numeric_grad(f, p.data)) < 1e-4
 
+    @staticmethod
+    def _loop_conv(x, w, b):
+        """Five-fold loop over the definition, zero outside the input."""
+        batch, c_in, length = x.shape
+        c_out, _, k = w.shape
+        y = np.zeros((batch, c_out, length)) + b[None, :, None]
+        for i in range(batch):
+            for o in range(c_out):
+                for t in range(length):
+                    for c in range(c_in):
+                        for j in range(k):
+                            if 0 <= t + j - k // 2 < length:
+                                y[i, o, t] += x[i, c, t + j - k // 2] * w[o, c, j]
+        return y
+
+    # k=3 with L >= k is the case of the two tests above
+    @pytest.mark.parametrize("k,length", [(1, 6), (5, 6), (5, 2), (3, 1)])
+    def test_kernel_sizes_against_loop_oracle(self, k, length):
+        rng = np.random.default_rng(k * 10 + length)
+        x = rng.normal(size=(2, 3, length))
+        w, b = rng.normal(size=(4, 3, k)), rng.normal(size=4)
+        out = T.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
+        assert np.max(np.abs(out - self._loop_conv(x, w, b))) < 1e-12
+
+    @pytest.mark.parametrize("k,length", [(1, 5), (5, 5), (5, 2)])
+    def test_kernel_sizes_finite_difference(self, k, length):
+        rng = np.random.default_rng(k * 10 + length)
+        x = Tensor(rng.normal(size=(2, 2, length)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, k)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        out = T.conv1d(x, w, b)
+        T.sum_all(T.mul(out, out)).backward()
+
+        def f():
+            y = self._loop_conv(x.data, w.data, b.data)
+            return float((y * y).sum())
+
+        for p in (x, w, b):
+            assert max_rel_err(p.grad, numeric_grad(f, p.data)) < 1e-4
+
 
 class TestElementwise:
     def test_relu_values(self):
@@ -140,7 +180,6 @@ class TestElementwise:
         (T.relu, lambda x: np.maximum(x, 0.0)),
         (T.sigmoid, lambda x: 1 / (1 + np.exp(-x))),
         (T.softmax_rows, lambda x: np.exp(x) / np.exp(x).sum(-1, keepdims=True)),
-        (T.log, np.log),
     ])
     def test_finite_difference(self, op, ref):
         rng = np.random.default_rng(6)
@@ -287,6 +326,19 @@ class TestSlidingWindows:
 
         def f():
             win = np.lib.stride_tricks.sliding_window_view(x.data, 3, axis=-1)
+            return float((win * weights).sum())
+
+        assert max_rel_err(x.grad, numeric_grad(f, x.data)) < 1e-4
+
+    @pytest.mark.parametrize("width", [1, 7])  # 3 is the case above
+    def test_widths_finite_difference(self, width):
+        rng = np.random.default_rng(width)
+        x = Tensor(rng.normal(size=(2, 3, 7)), requires_grad=True)
+        weights = rng.normal(size=(2, 3, 8 - width, width))
+        T.sum_all(T.mul(T.sliding_windows(x, width), Tensor(weights))).backward()
+
+        def f():
+            win = np.lib.stride_tricks.sliding_window_view(x.data, width, axis=-1)
             return float((win * weights).sum())
 
         assert max_rel_err(x.grad, numeric_grad(f, x.data)) < 1e-4

@@ -162,7 +162,7 @@ def cmd_ablate(args) -> int:
     sset, model_cfg, train_cfg, valid_frac = setup_run(args)
     train_set, valid_set, test_set = _load_sets_from(sset, args, valid_frac, train_cfg.seed)
     variants = (args.variant,) if args.variant else VARIANTS
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [train_cfg.seed]
+    seeds = [parse_value(s) for s in args.seeds.split(",")] if args.seeds else [train_cfg.seed]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = training.run_ablations(model_cfg, train_cfg, train_set, valid_set, test_set,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,23 +78,17 @@ def _read_cmapss_table(path: Path, columns: int = CMAPSS_COLUMNS) -> np.ndarray:
     """A whitespace-separated numeric table with `columns` fields per line."""
     if not path.exists():
         raise IOError(f"missing file: {path}")
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != columns:
-                raise FormatError(
-                    f"{path}: line {lineno} has {len(parts)} columns, expected {columns}"
-                )
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            table = np.loadtxt(path, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    if not table.size:
         raise FormatError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64)
+    if table.shape[1] != columns:
+        raise FormatError(f"{path}: {table.shape[1]} columns, expected {columns}")
+    return table
 
 
 def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
@@ -102,59 +97,52 @@ def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
 
     Zero-variance sensors (on the training trajectories) are dropped and
     the rest z-score normalized with training statistics. RUL labels are
-    capped piecewise-linearly at `rul_cap`. The test split yields one
-    window per unit (its last), labeled from the ground-truth RUL file.
+    capped piecewise-linearly at `rul_cap`. Rows are stable-sorted by unit,
+    and each window is named by its end row: in the train split every row
+    at least `window - 1` rows after its unit's first row, in the test split
+    each unit's last row (labeled from the ground-truth RUL file). Both
+    splits share one gather: row j of a window is max(end - window + 1 + j,
+    first), so a test trajectory shorter than the window repeats its first
+    cycle.
     """
     data_dir = Path(data_dir)
     if split not in ("train", "test"):
         raise ConfigError(f"split must be 'train' or 'test', got {split!r}")
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
+    if not rul_cap > 0:
+        raise ConfigError(f"rul_cap must be > 0, got {rul_cap}")
     train = _read_cmapss_table(data_dir / f"train_{subset}.txt")
     sensors = train[:, 5:]
     keep = sensors.std(axis=0) > 1e-12
     names = [f"s{i + 1}" for i in range(21) if keep[i]]
     mean = sensors[:, keep].mean(axis=0)
     std = sensors[:, keep].std(axis=0)
-    stats = {"mean": mean, "std": std}
 
+    table = train if split == "train" else _read_cmapss_table(data_dir / f"test_{subset}.txt")
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    unit_ids, first, counts = np.unique(table[:, 0], return_index=True, return_counts=True)
+    last = first + counts - 1
     if split == "train":
-        table = train
-        truth = None
+        unit = np.repeat(np.arange(len(unit_ids)), counts)  # unit position of each row
+        ends = np.flatnonzero(np.arange(len(table)) - first[unit] >= window - 1)
+        if not len(ends):
+            raise ConfigError(f"window {window} is longer than every training trajectory")
+        unit = unit[ends]
+        labels = last[unit] - ends  # 0 at end of life
     else:
-        table = _read_cmapss_table(data_dir / f"test_{subset}.txt")
         rul_path = data_dir / f"RUL_{subset}.txt"
         truth = _read_cmapss_table(rul_path, columns=1)[:, 0]
+        if len(truth) < len(unit_ids):
+            raise FormatError(
+                f"{rul_path}: {len(truth)} RUL values for {len(unit_ids)} test units")
+        unit, ends, labels = np.arange(len(unit_ids)), last, truth[:len(unit_ids)]
 
-    windows, labels, units = [], [], []
-    unit_ids = np.unique(table[:, 0]).astype(int)
-    if truth is not None and len(truth) < len(unit_ids):
-        raise FormatError(f"{rul_path}: {len(truth)} RUL values for {len(unit_ids)} test units")
-    for pos, uid in enumerate(sorted(unit_ids)):
-        traj = table[table[:, 0] == uid]
-        values = (traj[:, 5:][:, keep] - mean) / std   # (cycles, channels)
-        n_cyc = len(values)
-        if split == "train":
-            if n_cyc < window:
-                continue
-            for start in range(n_cyc - window + 1):
-                end = start + window
-                rul = float(n_cyc - end)  # 0 at end of life
-                windows.append(values[start:end].T)
-                labels.append(min(rul_cap, rul))
-                units.append(uid)
-        else:
-            if n_cyc < window:  # pad short trajectories by repeating the first cycle
-                values = np.vstack([np.repeat(values[:1], window - n_cyc, axis=0), values])
-            windows.append(values[-window:].T)
-            labels.append(min(rul_cap, float(truth[pos])))
-            units.append(uid)
-
-    if not windows:
-        raise ConfigError(f"window {window} is longer than every training trajectory")
-    arr = np.stack(windows)[:, :, :, None]  # (S, N, T, 1)
-    return SampleSet(arr, np.array(labels), "regression", names, stats,
-                     np.array(units))
+    values = (table[:, 5:][:, keep] - mean) / std  # (rows, channels)
+    rows = np.maximum(ends[:, None] + np.arange(1 - window, 1), first[unit][:, None])
+    windows = values[rows[:, None, :], np.arange(values.shape[1])[:, None]]  # (S, N, T)
+    return SampleSet(windows[..., None], np.minimum(rul_cap, labels), "regression", names,
+                     {"mean": mean, "std": std}, unit_ids[unit].astype(int))
 
 
 # -- generic windowed CSV -------------------------------------------------

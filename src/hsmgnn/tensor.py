@@ -4,8 +4,9 @@ Every value flowing through the model is a `Tensor` wrapping a numpy
 float64 array. Operations record their inputs and a backward closure;
 `backward()` on a scalar loss walks the graph in reverse topological
 order and accumulates gradients into every tensor created with
-`requires_grad=True`. Gradients accumulate across calls until
-`zero_grad()` is invoked, matching the usual training-loop contract.
+`requires_grad=True`. Constant leaves (no `requires_grad`, no parents)
+receive none. Gradients accumulate across calls until `zero_grad()` is
+invoked, matching the usual training-loop contract.
 
 `conv1d`, `sliding_windows` and `mean_all` are compositions of the other
 ops and define no backward of their own: the first two multiply by a
@@ -19,11 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-
-
-def _as_f64(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -45,7 +41,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = _as_f64(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
@@ -106,9 +102,14 @@ class Tensor:
                 node._backward(node.grad)
 
 
+def _tracked(t: Tensor) -> bool:
+    """Whether gradients flow into `t`: a parameter, or an op output over one."""
+    return t.requires_grad or bool(t._parents)
+
+
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad or p._parents for p in parents):
+    if any(_tracked(p) for p in parents):
         out.requires_grad = False
         out._parents = tuple(parents)
         out._backward = backward
@@ -122,8 +123,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        if _tracked(a):
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if _tracked(b):
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -132,8 +135,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if _tracked(a):
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if _tracked(b):
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -197,8 +202,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if _tracked(a):
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if _tracked(b):
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(data, (a, b), backward)
 

@@ -76,6 +76,8 @@ def classification_metrics(pred: np.ndarray, target: np.ndarray) -> MetricsRepor
 
 
 def evaluate(model: HSMGNN, sset: SampleSet, batch_size: int = 64) -> MetricsReport:
+    if len(sset) == 0:
+        raise ConfigError("cannot evaluate on an empty set")
     inputs = sset.model_inputs()
     preds = []
     for start in range(0, len(sset), batch_size):
@@ -154,13 +156,15 @@ def run_ablations(base_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Samp
     With `checkpoint_dir`, the first seed's model of each variant is saved
     there as `checkpoint-<variant>-seed<seed>.hsmg`.
     """
-    seeds = seeds if seeds is not None else [train_cfg.seed]
+    # built before any training, so every seed is checked first
+    train_cfgs = [train_cfg] if seeds is None else [replace(train_cfg, seed=s) for s in seeds]
     rows = []
     for variant in variants:
         cfg = ablate(variant, base_cfg)
-        for seed in seeds:
-            model, _ = train(cfg, replace(train_cfg, seed=seed), train_set, valid_set)
-            if checkpoint_dir is not None and seed == seeds[0]:
+        for seed_cfg in train_cfgs:
+            model, _ = train(cfg, seed_cfg, train_set, valid_set)
+            seed = seed_cfg.seed
+            if checkpoint_dir is not None and seed == train_cfgs[0].seed:
                 model.save(Path(checkpoint_dir) / f"checkpoint-{variant}-seed{seed}.hsmg")
             report = evaluate(model, test_set)
             rows.append({"variant": variant, "seed": seed, **report.to_dict()})

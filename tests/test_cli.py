@@ -136,6 +136,24 @@ class TestMalformedInput:
                      "--checkpoint", str(cut), "--out", str(tmp_path / "e")]) == 2
 
 
+def test_eval_on_an_empty_container_exits_two(tmp_path, toy_data, config_file, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config_file), "--data", str(toy_data),
+                 "--out", str(run), "--set", "epochs=1"]) == 0
+    empty = tmp_path / "empty.mtsd"
+    D.save_canonical(empty, D.SampleSet(np.zeros((0, 3, 8, 1)), np.zeros(0), "regression"))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config_file), "--data", str(empty),
+                 "--checkpoint", str(run / "checkpoint.hsmg"), "--out", str(tmp_path / "e")]) == 2
+    assert "empty" in capsys.readouterr().err
+
+
+def test_nan_rul_cap_is_named(tmp_path, capsys):
+    argv = _turbofan(extra=("--rul-cap", "nan"))(tmp_path, [])
+    assert main(argv) == 2
+    assert "rul_cap" in capsys.readouterr().err
+
+
 class TestAblateSweep:
     def test_ablate_trains_each_run_once(self, tmp_path, toy_data, config_file, monkeypatch):
         calls = []
@@ -235,7 +253,7 @@ def _seed_env(tmp, run):
     return ["train", *run, "--config", str(config)]
 
 
-def _turbofan(window="8", name=None, edit=None):
+def _turbofan(window="8", name=None, edit=None, extra=()):
     """`prepare` of synthetic turbofan files, the text of file `name` passed through `edit`."""
     def argv(tmp, run):
         from test_data import write_turbofan_files
@@ -244,7 +262,7 @@ def _turbofan(window="8", name=None, edit=None):
         if name:
             (tmp / name).write_text(edit((tmp / name).read_text()))
         return ["prepare", "--dataset", "cmapss", "--input", str(tmp),
-                "--output", str(tmp / "x.mtsd"), "--window", window]
+                "--output", str(tmp / "x.mtsd"), "--window", window, *extra]
     return argv
 
 
@@ -288,6 +306,12 @@ MALFORMED = [
     pytest.param(_turbofan(window="-1"), id="cmapss-window-negative"),
     pytest.param(_turbofan(window="0"), id="cmapss-window-0"),
     pytest.param(_turbofan(window="100"), id="cmapss-window-too-long"),
+    pytest.param(_turbofan(extra=("--rul-cap", "-5")), id="cmapss-rul-cap-negative"),
+    pytest.param(_turbofan(name="train_FD001.txt", edit=lambda s: ""), id="cmapss-train-empty"),
+    pytest.param(_turbofan(name="train_FD001.txt", edit=lambda s: "\n  \n\t\n"),
+                 id="cmapss-train-blank"),
+    pytest.param(_run("ablate", "--seeds", "abc"), id="ablate-seeds-abc"),
+    pytest.param(_run("ablate", "--seeds", "0,,1"), id="ablate-seeds-empty-item"),
     pytest.param(_csv("a,label\n1,0\n2,1\n", "0"), id="csv-window-0"),
     pytest.param(_csv("a,label\n", "1"), id="csv-header-only"),
     pytest.param(_csv("a,label\n1,0\ninf,1\n", "1"), id="csv-inf-token"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,106 @@ class TestTurbofanLoader:
         (tmp_path / "train_FD001.txt").write_text("1 2 3\n")
         with pytest.raises(FormatError):
             D.load_cmapss(tmp_path, "FD001")
+
+    def test_empty_table_warns_nothing(self, tmp_path):
+        path = tmp_path / "train_FD001.txt"
+        for text in ("", "\n  \n\t\n"):
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FormatError, match="no data rows"):
+                    D._read_cmapss_table(path)
+
+    def test_rul_cap_must_be_positive(self, tmp_path):
+        write_turbofan_files(tmp_path)
+        for cap in (0.0, -5.0, float("nan")):
+            with pytest.raises(ConfigError, match="rul_cap"):
+                D.load_cmapss(tmp_path, "FD001", window=8, rul_cap=cap)
+        sset = D.load_cmapss(tmp_path, "FD001", window=8, rul_cap=float("inf"))
+        assert np.array_equal(sset.labels, loop_windows(tmp_path, 8, "train", np.inf)[1])
+
+
+def loop_windows(data_dir, window, split, rul_cap=125.0, subset="FD001"):
+    """The per-unit loop that windowed turbofan files before the end-row gather."""
+    train = np.loadtxt(data_dir / f"train_{subset}.txt", ndmin=2)
+    sensors = train[:, 5:]
+    keep = sensors.std(axis=0) > 1e-12
+    mean, std = sensors[:, keep].mean(axis=0), sensors[:, keep].std(axis=0)
+    table = train if split == "train" else np.loadtxt(data_dir / f"test_{subset}.txt", ndmin=2)
+    truth = np.loadtxt(data_dir / f"RUL_{subset}.txt", ndmin=1)
+    windows, labels, units = [], [], []
+    for pos, uid in enumerate(np.unique(table[:, 0])):
+        values = (table[table[:, 0] == uid][:, 5:][:, keep] - mean) / std
+        if split == "train":
+            for end in range(window, len(values) + 1):
+                windows.append(values[end - window:end].T)
+                labels.append(min(rul_cap, len(values) - end))
+                units.append(uid)
+        else:
+            if len(values) < window:  # repeat the first cycle
+                values = np.vstack([np.repeat(values[:1], window - len(values), axis=0), values])
+            windows.append(values[-window:].T)
+            labels.append(min(rul_cap, truth[pos]))
+            units.append(uid)
+    return np.stack(windows)[..., None], np.array(labels, dtype=float), np.array(units, dtype=int)
+
+
+def trajectory_lengths(path):
+    return np.unique(np.loadtxt(path)[:, 0], return_counts=True)[1]
+
+
+def interleave_units(path):
+    """Rewrite a table round-robin over its units, in descending unit order."""
+    lines = path.read_text().splitlines()
+    by_unit = {}
+    for line in lines:
+        by_unit.setdefault(float(line.split()[0]), []).append(line)
+    queues = [by_unit[u] for u in sorted(by_unit, reverse=True)]
+    rows = [q[i] for i in range(max(map(len, queues))) for q in queues if i < len(q)]
+    assert sorted(rows) == sorted(lines) and rows != lines
+    path.write_text("\n".join(rows) + "\n")
+
+
+class TestTurbofanWindowsMatchLoop:
+    def check(self, data_dir, window, split):
+        sset = D.load_cmapss(data_dir, "FD001", window=window, split=split)
+        windows, labels, units = loop_windows(data_dir, window, split)
+        assert sset.windows.flags.c_contiguous
+        assert np.array_equal(sset.windows, windows)
+        assert np.array_equal(sset.labels, labels)
+        assert np.array_equal(sset.unit_ids, units)
+        return sset
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("window", [1, 8])
+    def test_fixed_windows(self, tmp_path, split, window):
+        write_turbofan_files(tmp_path)
+        self.check(tmp_path, window, split)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_window_equal_to_the_longest_trajectory(self, tmp_path, split):
+        write_turbofan_files(tmp_path)
+        lengths = trajectory_lengths(tmp_path / f"{split}_FD001.txt")
+        sset = self.check(tmp_path, int(lengths.max()), split)
+        if split == "train":
+            assert len(sset) == np.sum(lengths == lengths.max())
+
+    def test_test_trajectories_shorter_than_the_window_are_padded(self, tmp_path):
+        write_turbofan_files(tmp_path)
+        lengths = trajectory_lengths(tmp_path / "test_FD001.txt")
+        window = int(lengths.max()) + 3
+        sset = self.check(tmp_path, window, "test")
+        pad = window - lengths[0]
+        first = sset.windows[0, :, :1]
+        assert np.array_equal(sset.windows[0, :, :pad + 1], np.repeat(first, pad + 1, axis=1))
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_out_of_order_interleaved_units(self, tmp_path, split):
+        write_turbofan_files(tmp_path)
+        interleave_units(tmp_path / "train_FD001.txt")
+        interleave_units(tmp_path / "test_FD001.txt")
+        sset = self.check(tmp_path, 8, split)
+        assert np.all(np.diff(sset.unit_ids) >= 0)
 
 
 class TestCsvLoader:

@@ -146,3 +146,15 @@ def test_graph_size_does_not_grow_with_the_block_count(variant):
         configs = [ModelConfig(n=5, t=30, d_blocks=d, variant=variant) for d in (1, 4)]
     ops = [sum(1 for node in training_graph(cfg) if node._parents) for cfg in configs]
     assert ops[0] == ops[1], f"op nodes per step: {ops}"
+
+
+@pytest.mark.parametrize("variant", ["complete", "no-adb", "no-fgcn", "no-scs"])
+def test_constant_leaves_get_no_gradient(variant):
+    """Shift matrices, eps*I ridges and the loss target receive no gradient."""
+    nodes = training_graph(ModelConfig(n=5, t=30, variant=variant))
+    nodes[0].backward()  # the loss is the walk's first node
+    constants = [node for node in nodes if not node.requires_grad and not node._parents]
+    params = [node for node in nodes if node.requires_grad]
+    assert constants and params
+    assert [node.shape for node in constants if node.grad is not None] == []
+    assert all(node.grad is not None for node in params)

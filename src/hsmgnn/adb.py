@@ -12,10 +12,11 @@ The model calls the factored forms, which take the window factors W
 - `factored_base_adjacency` uses Z Z^T = sum_m U_m^2
   = [W_m (W_m^T W_m + 2 eps I)]_m [W_m]_m^T + M eps^2 I, one
   (N, M*z_s) x (M*z_s, N) product;
-- `factored_query` uses Xi^T U_m Xi = (Xi^T W_m)(Xi^T W_m)^T + eps Xi^T Xi.
+- `factored_ndv` uses Xi^T U_m Xi = (Xi^T W_m)(Xi^T W_m)^T + eps Xi^T Xi, or for
+  N < M_q folds Xi into the FFN weights against a (B, M, N, N) Gram stack.
 
-`base_adjacency` and `bilinear_query` take the dense (B, N, N, M) stack
-and are the reference definitions the factored forms must reproduce.
+`base_adjacency` and `ndv` of `bilinear_query` take the dense (B, N, N, M)
+stack and are the reference definitions the factored forms must reproduce.
 """
 
 from __future__ import annotations
@@ -61,18 +62,31 @@ def factored_base_adjacency(w: Tensor, eps_spd: float) -> Tensor:
     return T.softmax_rows(T.relu(scores))
 
 
-def factored_query(w: Tensor, bank: Tensor, eps_spd: float) -> Tensor:
-    """`bilinear_query` of the stack with factors w (B, M, N, z_s); (B, M_q, M_q, M)."""
-    if bank.shape[0] != w.shape[2]:
-        raise ShapeError(f"memory bank rows {bank.shape} do not match N={w.shape[2]}")
-    m_q = bank.shape[1]
-    bank_t = T.transpose(bank, (1, 0))
-    # both factors of V V^T as products, so that numpy multiplies contiguous arrays
-    v = T.matmul(bank_t, w)                                          # (B, M, M_q, z)
-    v_t = T.matmul(T.transpose(w, (0, 1, 3, 2)), bank)               # (B, M, z, M_q)
-    q = T.transpose(T.matmul(v, v_t), (0, 2, 3, 1))                  # (B, M_q, M_q, M)
-    ridge = T.reshape(T.scale(T.matmul(bank_t, bank), eps_spd), (m_q, m_q, 1))
-    return T.add(q, ridge)
+def factored_ndv(w: Tensor, bank: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                 b2: Tensor, eps_spd: float) -> Tensor:
+    """`ndv` of the `bilinear_query` of the stack with factors w (B, M, N, z_s); (B, N).
+
+    Hidden unit d is sum_m <W1_{d,m}, Xi^T U_m Xi> + b1_d, W1_{d,m} its (M_q, M_q)
+    weights on slice m. <W1_{d,m}, Xi^T W_m W_m^T Xi> = <Xi W1_{d,m} Xi^T, W_m W_m^T>
+    is taken on the smaller side, and eps <W1_{d,m}, Xi^T Xi> once per call.
+    """
+    b, m, n, _ = w.shape
+    m_d, m_q = w1.shape[0], bank.shape[1]  # a bank without N rows fails a product
+    bank_t, w_t = T.transpose(bank, (1, 0)), T.transpose(w, (0, 1, 3, 2))
+    w1_q = T.reshape(w1, (m_d, m_q, m_q, m))         # the column order of the flat query
+    xi_gram = T.reshape(T.scale(T.matmul(bank_t, bank), eps_spd), (m_q * m_q, 1))
+    ridge = T.matmul(T.reshape(T.sum_axis(w1_q, 3), (m_d, m_q * m_q)), xi_gram)
+    w1_q = T.transpose(w1_q, (0, 3, 1, 2))           # (m_d, M, M_q, M_q)
+    if n < m_q:  # per block, M N^2 (z_s + m_d) flops here against M M_q^2 (z_s + m_d)
+        stack = T.matmul(w, w_t)                                     # (B, M, N, N)
+        weight = T.matmul(T.matmul(bank, w1_q), bank_t)              # (m_d, M, N, N)
+    else:  # both factors of V V^T as products, so that numpy multiplies contiguous arrays
+        stack = T.matmul(T.matmul(bank_t, w), T.matmul(w_t, bank))   # (B, M, M_q, M_q)
+        weight = w1_q
+    flat = T.reshape(stack, (b, -1))
+    h = T.matmul(flat, T.transpose(T.reshape(weight, (m_d, -1)), (1, 0)))
+    h = T.relu(T.add(T.add(h, T.reshape(ridge, (m_d,))), b1))
+    return T.sigmoid(T.add(T.matmul(h, T.transpose(w2, (1, 0))), b2))
 
 
 def ndv(q: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

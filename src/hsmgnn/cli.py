@@ -164,7 +164,6 @@ def cmd_ablate(args) -> int:
     variants = (args.variant,) if args.variant else VARIANTS
     seeds = [parse_value(s) for s in args.seeds.split(",")] if args.seeds else [train_cfg.seed]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = training.run_ablations(model_cfg, train_cfg, train_set, valid_set, test_set,
                                   seeds=seeds, variants=variants, checkpoint_dir=out)
     write_outputs(out, resolved_dict(model_cfg, train_cfg,

@@ -6,9 +6,10 @@ Euclidean branch, both convolved multi-hop, projected, fused and fed to
 the MLP head. Each of the K feature blocks of a sample (the D CNN blocks,
 or the L raw blocks of `no-scs`) gets its own graph with shared weights,
 so `HSMGNN.forward` runs every stage once on a (B*K, N, W_p) batch. The
-SPD branch runs on the window factors of the covariances and never forms
-the (N, N, M) stack (see `scs`). Ablation variants drop stages (`has_spd`,
-`has_adb`, `has_euclid`) and their parameters.
+SPD branch runs on the window factors of the covariances, and builds their
+Gram stack only when N < m_q, in place of a larger query stack (see `scs`).
+Ablation variants drop stages (`has_spd`, `has_adb`, `has_euclid`) and
+their parameters.
 
 `ModelConfig` holds every model hyperparameter, the SCS ones included, and
 checks the type and range of each once, at construction (`check_fields`).
@@ -209,9 +210,8 @@ class HSMGNN:
             w = scs.window_factors(p, cfg.z_s)
             a_s = adb.factored_base_adjacency(w, cfg.eps_spd)
             if cfg.has_adb:
-                q = adb.factored_query(w, prm["adb.bank"], cfg.eps_spd)
-                alpha = adb.ndv(q, prm["adb.ffn_w1"], prm["adb.ffn_b1"],
-                                prm["adb.ffn_w2"], prm["adb.ffn_b2"])
+                alpha = adb.factored_ndv(w, prm["adb.bank"], prm["adb.ffn_w1"], prm["adb.ffn_b1"],
+                                         prm["adb.ffn_w2"], prm["adb.ffn_b2"], cfg.eps_spd)
                 a_s = adb.refine_adjacency(alpha, a_s)
             h_s = fusion.factored_multihop(w, a_s, cfg.r_s, prm["proj_s.w"], prm["proj_s.b"],
                                            cfg.eps_spd)

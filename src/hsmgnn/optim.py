@@ -9,7 +9,7 @@ from .tensor import Tensor
 
 
 class Adam:
-    """Standard Adam with bias correction, mutating parameters in place.
+    """Standard Adam with bias correction, mutating parameters and moments in place.
 
     Defaults follow the usual recipe: lr 1e-4, beta1 0.9, beta2 0.999,
     eps 1e-8.
@@ -28,17 +28,21 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
+        # both bias corrections folded into the step size and eps (Kingma & Ba, sec. 2)
+        root_c2 = np.sqrt(1.0 - self.beta2 ** self.t)
+        step_size, eps = self.lr * root_c2 / (1.0 - self.beta1 ** self.t), self.eps * root_c2
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             if not np.all(np.isfinite(g)):
                 raise NumericsError(f"non-finite gradient in parameter {name!r}")
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[name] / (1.0 - self.beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * np.square(g)
+            p.data -= step_size * m / (np.sqrt(v) + eps)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

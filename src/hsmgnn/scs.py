@@ -7,8 +7,9 @@ leading batch axis; W_p and z_s are plain ints (see `ModelConfig`).
 
 Every Gram slice is U_m = W_m W_m^T + eps*I, where the window factor W_m
 is the (N, z_s) stride-1 window m of a feature block. The model never
-forms the (N, N, M) stack: it runs on the factors W (`window_factors`),
-using three exact identities (see `adb` and `fusion`):
+forms a U_m: it runs on the factors W (`window_factors`), using three exact
+identities (see `adb` and `fusion`), and builds the (M, N, N) Gram stack of
+the W_m only when N < M_q, in place of the larger (M, M_q, M_q) query stack:
 
 - base adjacency: Z Z^T = sum_m U_m^2
   = [W_m (W_m^T W_m + 2 eps I)]_m [W_m]_m^T + M eps^2 I;

@@ -156,8 +156,10 @@ def run_ablations(base_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Samp
     With `checkpoint_dir`, the first seed's model of each variant is saved
     there as `checkpoint-<variant>-seed<seed>.hsmg`.
     """
-    # built before any training, so every seed is checked first
+    # built before any training or output, so every seed is checked first
     train_cfgs = [train_cfg] if seeds is None else [replace(train_cfg, seed=s) for s in seeds]
+    if checkpoint_dir is not None:
+        Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
     rows = []
     for variant in variants:
         cfg = ablate(variant, base_cfg)

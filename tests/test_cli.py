@@ -327,6 +327,13 @@ def test_malformed_input_exits_two(make_argv, tmp_path, toy_data, config_file, c
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_ablate_bad_seed_creates_no_output_directory(tmp_path, toy_data, config_file):
+    out = tmp_path / "runs" / "a"
+    assert main(["ablate", "--config", str(config_file), "--data", str(toy_data),
+                 "--out", str(out), "--seeds", "abc"]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("param,values,labels", [
     ("delta", "0.1,0.3", [0.1, 0.3]),  # with w_p = 4 both give z_s = 1
     ("m_d", "8,8", [8, 8]),

@@ -16,6 +16,7 @@ import pytest
 from hsmgnn import HSMGNN, ModelConfig, ablate
 from hsmgnn import adb, fusion, scs
 from hsmgnn import tensor as T
+from hsmgnn.errors import ShapeError
 from hsmgnn.tensor import Tensor
 
 RTOL = 1e-10
@@ -85,7 +86,6 @@ def test_factored_stages_match_dense_stages(n):
     rng = np.random.default_rng(n)
     eps, z_s = 1e-2, 3  # a large eps so that the eps terms are visible
     p_d = Tensor(rng.normal(size=(2, n, 10)))
-    bank = Tensor(rng.normal(size=(n, 4)))
     proj_w = Tensor(rng.normal(size=(n * 8, 5)))
     proj_b = Tensor(rng.normal(size=5))
     u = scs.window_covariance(p_d, z_s, eps)
@@ -94,12 +94,41 @@ def test_factored_stages_match_dense_stages(n):
 
     a = adb.factored_base_adjacency(w, eps)
     assert rel_diff(a.data, adb.base_adjacency(u).data) < RTOL
-    q = adb.factored_query(w, bank, eps)
-    assert rel_diff(q.data, adb.bilinear_query(u, bank).data) < RTOL
     feats = fusion.factored_multihop(w, a, 2, proj_w, proj_b, eps)
     dense = fusion.branch_features(fusion.multihop_conv(adb.node_features(u), a, 2),
                                    proj_w, proj_b)
     assert rel_diff(feats.data, dense.data) < RTOL
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])  # m_q - 1 (the folded side), m_q and m_q + 1
+def test_factored_ndv_matches_dense_query_and_ndv(n):
+    rng = np.random.default_rng(n)
+    eps, z_s, m_q, m_d = 0.5, 3, 5, 6  # a large eps so that the ridge terms are visible
+
+    def leaf(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    p_d, bank = leaf(3, n, 10), leaf(n, m_q)
+    w1, b1, w2, b2 = leaf(m_d, m_q * m_q * 8), leaf(m_d), leaf(n, m_d), leaf(n)
+    leaves = {"w": p_d, "bank": bank, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
+    y = rng.normal(size=(3, n))
+
+    def output_and_grads(alpha):
+        for leaf_t in leaves.values():
+            leaf_t.zero_grad()
+        T.sum_all(T.mul(alpha, Tensor(y))).backward()
+        return alpha.data, {k: v.grad.copy() for k, v in leaves.items()}
+
+    got, grads = output_and_grads(
+        adb.factored_ndv(scs.window_factors(p_d, z_s), bank, w1, b1, w2, b2, eps))
+    q = adb.bilinear_query(scs.window_covariance(p_d, z_s, eps), bank)
+    ref, ref_grads = output_and_grads(adb.ndv(q, w1, b1, w2, b2))
+    assert rel_diff(got, ref) < RTOL
+    for name, ref_grad in ref_grads.items():
+        assert np.any(ref_grad != 0.0), name
+        assert rel_diff(grads[name], ref_grad) < RTOL, name
+    with pytest.raises(ShapeError):
+        adb.factored_ndv(scs.window_factors(p_d, z_s), leaf(n + 1, m_q), w1, b1, w2, b2, eps)
 
 
 def test_window_factors_rebuild_the_covariance_stack():
@@ -134,6 +163,16 @@ def test_training_graph_never_holds_a_gram_stack():
     limit = b * cfg.n * cfg.n * cfg.num_windows
     largest = max(node.data.size for node in nodes)
     assert len(nodes) > 100
+    assert largest < limit, f"a node holds {largest} elements, limit {limit}"
+
+
+def test_training_graph_below_m_q_holds_nothing_larger_than_the_query_stack():
+    """At N < m_q the Gram stack replaces the (B*K, M_q, M_q, M) query stack."""
+    b = 4
+    cfg = ModelConfig(n=14, t=30, m_q=32, m_d=8, mlp_widths=(8, 8, 8))
+    nodes = training_graph(cfg, b)
+    limit = b * cfg.d_blocks * cfg.m_q * cfg.m_q * cfg.num_windows
+    largest = max(node.data.size for node in nodes)
     assert largest < limit, f"a node holds {largest} elements, limit {limit}"
 
 

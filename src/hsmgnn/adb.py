@@ -13,10 +13,12 @@ The model calls the factored forms, which take the window factors W
   = [W_m (W_m^T W_m + 2 eps I)]_m [W_m]_m^T + M eps^2 I, one
   (N, M*z_s) x (M*z_s, N) product;
 - `factored_ndv` uses Xi^T U_m Xi = (Xi^T W_m)(Xi^T W_m)^T + eps Xi^T Xi, or for
-  N < M_q folds Xi into the FFN weights against a (B, M, N, N) Gram stack.
+  N < M_q folds Xi into the FFN weights against a (B, M, N, N) Gram stack;
+- the refined D A, D = diag(1 + alpha), is never formed: (D A)^j U is j rounds
+  of h <- D (A h), so `fusion.multihop_conv` rescales each hop by `refine_gate`.
 
-`base_adjacency` and `ndv` of `bilinear_query` take the dense (B, N, N, M)
-stack and are the reference definitions the factored forms must reproduce.
+`base_adjacency`, `ndv` of `bilinear_query` and `refine_adjacency` take the
+dense forms and are the reference definitions the factored forms must reproduce.
 """
 
 from __future__ import annotations
@@ -101,10 +103,15 @@ def ndv(q: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return T.sigmoid(T.add(T.matmul(h, T.transpose(w2, (1, 0))), b2))
 
 
-def refine_adjacency(alpha: Tensor, a_base: Tensor) -> Tensor:
-    """Residual row rescaling: row i of the result is (1 + alpha_i) * row i."""
+def refine_gate(alpha: Tensor) -> Tensor:
+    """The distance factors (B, N) as a (B, N, 1) row gate; negative factors are rejected."""
     if (alpha.data < 0).any():
         raise ContractError("negative distance factors are not admissible")
     b, n = alpha.shape
-    gate = T.reshape(alpha, (b, n, 1))
+    return T.reshape(alpha, (b, n, 1))
+
+
+def refine_adjacency(alpha: Tensor, a_base: Tensor) -> Tensor:
+    """Residual row rescaling: row i of the result is (1 + alpha_i) * row i."""
+    gate = refine_gate(alpha)
     return T.add(T.mul(gate, a_base), a_base)

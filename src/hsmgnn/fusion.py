@@ -11,7 +11,9 @@ propagates f_s columns instead of the N*M columns of the flattened stack
 Z. It never forms Z either: with U_m = W_m W_m^T + eps*I and P_m the rows
 k*M + m of P, Z P = sum_m W_m (W_m^T P_m) + eps sum_m P_m. The bias is
 added after propagation. `multihop_conv` followed by `branch_features` on
-the dense stack is the reference definition.
+the dense stack is the reference definition. The ADB refinement D A,
+D = diag(1 + alpha), enters the same way: (D A)^j U is j rounds of
+h <- D (A h), so the hop outputs are rescaled and D A is never formed.
 """
 
 from __future__ import annotations
@@ -28,24 +30,26 @@ def euclidean_adjacency(p_k: Tensor) -> Tensor:
     return T.softmax_rows(T.relu(T.matmul(p_k, T.transpose(p_k, (0, 2, 1)))))
 
 
-def multihop_conv(u: Tensor, a: Tensor, r: int) -> Tensor:
-    """Sum_{j=1..r} A^j U via repeated multiplication."""
+def multihop_conv(u: Tensor, a: Tensor, r: int, gate: Tensor | None = None) -> Tensor:
+    """Sum_{j=1..r} A^j U via repeated multiplication; gated, A is diag(1 + gate) A."""
     if r < 1:
         raise ConfigError(f"hop count must be >= 1, got {r}")
-    h = T.matmul(a, u)
-    out = h
-    for _ in range(r - 1):
+    h, out = u, None
+    for _ in range(r):
         h = T.matmul(a, h)
-        out = T.add(out, h)
+        if gate is not None:
+            h = T.add(T.mul(gate, h), h)
+        out = h if out is None else T.add(out, h)
     return out
 
 
 def factored_multihop(w: Tensor, a: Tensor, r: int, proj_w: Tensor,
-                      proj_b: Tensor, eps_spd: float) -> Tensor:
+                      proj_b: Tensor, eps_spd: float, gate: Tensor | None = None) -> Tensor:
     """Projected SPD-branch features from window factors w (B, M, N, z_s).
 
     Equals sum_{j=1..r} A^j Z P + b for the flattened Gram stack Z
-    (B, N, N*M) and P = proj_w (N*M, F); returns (B, N, F).
+    (B, N, N*M) and P = proj_w (N*M, F), with A gated as in `multihop_conv`;
+    returns (B, N, F).
     """
     b, m, n, z = w.shape
     f = proj_w.shape[1]
@@ -53,7 +57,7 @@ def factored_multihop(w: Tensor, a: Tensor, r: int, proj_w: Tensor,
     w_t_p = T.reshape(T.matmul(T.transpose(w, (0, 1, 3, 2)), p), (b, m * z, f))
     w_cols = T.reshape(T.transpose(w, (0, 2, 1, 3)), (b, n, m * z))
     zp = T.add(T.matmul(w_cols, w_t_p), T.scale(T.sum_axis(p, 0), eps_spd))
-    return T.add(multihop_conv(zp, a, r), proj_b)
+    return T.add(multihop_conv(zp, a, r, gate), proj_b)
 
 
 def branch_features(u: Tensor, w: Tensor, b: Tensor) -> Tensor:

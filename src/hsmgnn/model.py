@@ -209,12 +209,13 @@ class HSMGNN:
         if cfg.has_spd:
             w = scs.window_factors(p, cfg.z_s)
             a_s = adb.factored_base_adjacency(w, cfg.eps_spd)
-            if cfg.has_adb:
-                alpha = adb.factored_ndv(w, prm["adb.bank"], prm["adb.ffn_w1"], prm["adb.ffn_b1"],
-                                         prm["adb.ffn_w2"], prm["adb.ffn_b2"], cfg.eps_spd)
-                a_s = adb.refine_adjacency(alpha, a_s)
+            gate = None
+            if cfg.has_adb:  # the gate rescales the hop outputs, so a_s is never refined
+                gate = adb.refine_gate(adb.factored_ndv(
+                    w, prm["adb.bank"], prm["adb.ffn_w1"], prm["adb.ffn_b1"],
+                    prm["adb.ffn_w2"], prm["adb.ffn_b2"], cfg.eps_spd))
             h_s = fusion.factored_multihop(w, a_s, cfg.r_s, prm["proj_s.w"], prm["proj_s.b"],
-                                           cfg.eps_spd)
+                                           cfg.eps_spd, gate)
             u_s_c = T.reshape(h_s, (b, k, cfg.n, cfg.f_s))
         if cfg.has_euclid:
             h_e = fusion.multihop_conv(p, fusion.euclidean_adjacency(p), cfg.r_e)

@@ -8,6 +8,11 @@ order and accumulates gradients into every tensor created with
 receive none. Gradients accumulate across calls until `zero_grad()` is
 invoked, matching the usual training-loop contract.
 
+Gradients are adopted, never written in place: a tensor keeps the first
+gradient array it receives and sums later ones out of place, so one array
+may serve several tensors (both parents of `add`) and a non-leaf gradient
+may be a view of its child's (`reshape`, `transpose`).
+
 `conv1d`, `sliding_windows` and `mean_all` are compositions of the other
 ops and define no backward of their own: the first two multiply by a
 constant 0/1 shift matrix (`_shift_matrix`) and reshape.
@@ -64,12 +69,8 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
-        # copy the first gradient: `g` may be shared with a sibling parent
-        # (add) or be a view of the child's gradient (reshape, transpose)
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
+        # kept as it is and never written: `g` may serve a sibling or view the child's gradient
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Populate gradients of every reachable `requires_grad` tensor.
@@ -153,12 +154,11 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    # subgradient at exactly 0 is 0
-    mask = a.data > 0.0
-    data = np.where(mask, a.data, 0.0)
+    data = np.fmax(a.data, 0.0)  # NaN -> 0: relu is 0 wherever a > 0 is false
+    data += 0.0  # fmax keeps -0.0 on some array lengths; this makes it +0.0
 
     def backward(g):
-        a._accumulate(g * mask)
+        a._accumulate(g * (data > 0.0))  # subgradient at exactly 0 is 0
 
     return _make(data, (a,), backward)
 
@@ -179,13 +179,15 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis, max-shifted for stability."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        a._accumulate(data * (g - dot))
+        grad = g * data
+        np.subtract(g, grad.sum(axis=-1, keepdims=True), out=grad)
+        grad *= data
+        a._accumulate(grad)
 
     return _make(data, (a,), backward)
 
@@ -203,11 +205,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if _tracked(a):
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            a._accumulate(_operand_grad(np.swapaxes(g, -1, -2), np.swapaxes(b.data, -1, -2),
+                                        a.data))
         if _tracked(b):
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            b._accumulate(_operand_grad(a.data, g, b.data))
 
     return _make(data, (a, b), backward)
+
+
+def _operand_grad(x: np.ndarray, y: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The gradient x^T y of a matmul operand shaped like `like`, summed over broadcast axes.
+
+    A 2-D operand gets one product over the flattened batch, in its own memory
+    order: (y^T x)^T for a view W^T, so that W's gradient is C-contiguous.
+    """
+    if like.ndim > 2:
+        return _unbroadcast(np.swapaxes(x, -1, -2) @ y, like.shape)
+    x, y = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
+    if like.flags.f_contiguous and not like.flags.c_contiguous:
+        return (y.T @ x).T
+    return x.T @ y
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -258,9 +275,9 @@ def slice_axis(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     data = a.data[idx]
 
     def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[idx] += g
+        grad = np.zeros_like(a.data)
+        grad[idx] = g
+        a._accumulate(grad)
 
     return _make(data, (a,), backward)
 

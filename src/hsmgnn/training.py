@@ -104,7 +104,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
     inputs = train_set.model_inputs()
     labels = train_set.labels
 
-    best_state = model.state_dict()
+    best_state, best_report = model.state_dict(), None
     best_monitor = np.inf
     bad_epochs = 0
     loss_curve: list[float] = []
@@ -122,6 +122,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
             opt.zero_grad()
             loss.backward()
             opt.step()
+            del pred, loss  # frees the step's graph before the next forward
             epoch_losses.append(value)
             step += 1
             if train_cfg.max_steps is not None and step >= train_cfg.max_steps:
@@ -129,8 +130,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
         loss_curve.append(float(np.mean(epoch_losses)))
         val = evaluate(model, valid_set)
         if val.monitor < best_monitor:
-            best_monitor = val.monitor
-            best_state = model.state_dict()
+            best_monitor, best_state, best_report = val.monitor, model.state_dict(), val
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -140,7 +140,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
             break
 
     model.load_state_dict(best_state)
-    report = evaluate(model, valid_set)
+    # the best epoch's report describes best_state; evaluate only if no epoch improved
+    report = best_report if best_report is not None else evaluate(model, valid_set)
     report.loss_curve = loss_curve
     report.wall_clock = time.perf_counter() - start_time
     return model, report

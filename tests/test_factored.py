@@ -16,7 +16,7 @@ import pytest
 from hsmgnn import HSMGNN, ModelConfig, ablate
 from hsmgnn import adb, fusion, scs
 from hsmgnn import tensor as T
-from hsmgnn.errors import ShapeError
+from hsmgnn.errors import ContractError, ShapeError
 from hsmgnn.tensor import Tensor
 
 RTOL = 1e-10
@@ -197,3 +197,34 @@ def test_constant_leaves_get_no_gradient(variant):
     assert constants and params
     assert [node.shape for node in constants if node.grad is not None] == []
     assert all(node.grad is not None for node in params)
+
+
+@pytest.mark.parametrize("variant", ["complete", "no-adb", "no-fgcn", "no-scs"])
+def test_parameter_gradients_are_c_contiguous_and_writeable(variant):
+    """Gradients are adopted, not copied; Adam still gets plain arrays."""
+    nodes = training_graph(ModelConfig(n=5, t=30, variant=variant))
+    nodes[0].backward()
+    params = [node for node in nodes if node.requires_grad]
+    assert params
+    for p in params:
+        assert p.grad.flags.c_contiguous and p.grad.flags.writeable, p.name
+
+
+def test_adb_adds_no_node_of_the_adjacency_shape():
+    """The refinement rescales the hop outputs: `complete` holds no more
+    (B*K, N, N) nodes than `no-adb` (base and Euclidean adjacency only)."""
+    b, cfg = 4, ModelConfig(n=6, t=30)
+    shape = (b * cfg.d_blocks, cfg.n, cfg.n)
+    counts = [sum(node.shape == shape for node in training_graph(ablate(v, cfg), b))
+              for v in ("complete", "no-adb")]
+    assert counts == [7, 7], counts
+
+
+def test_negative_distance_factors_stop_the_forward_pass(monkeypatch):
+    """The model gates the hop outputs with alpha and rejects alpha < 0, as
+    `refine_adjacency` does."""
+    model = HSMGNN(ModelConfig(n=4, t=30), seed=0)
+    monkeypatch.setattr(adb, "factored_ndv",
+                        lambda w, *rest: Tensor(-np.ones((w.shape[0], w.shape[2]))))
+    with pytest.raises(ContractError, match="negative distance factors"):
+        model.forward(np.zeros((2, 4, 30)))

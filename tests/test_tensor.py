@@ -55,6 +55,61 @@ class TestMatmul:
         assert b.grad.shape == (3, 5)
 
 
+class TestMatmulGradients:
+    """Gradients of every operand against central differences, for the 2-D
+    operand shapes that get one flattened product and the batched ones that
+    are summed over their broadcast axes."""
+
+    @staticmethod
+    def _check(a_val, b_val, a_view=None, b_view=None):
+        rng = np.random.default_rng(a_val.size + b_val.size)
+        a = Tensor(a_val, requires_grad=True)
+        b = Tensor(b_val, requires_grad=True)
+        left = a if a_view is None else a_view(a)
+        right = b if b_view is None else b_view(b)
+        out = T.matmul(left, right)
+        weights = rng.normal(size=out.shape)
+        T.sum_all(T.mul(out, Tensor(weights))).backward()
+
+        def f():
+            x = a.data if a_view is None else a_view(Tensor(a.data)).data
+            y = b.data if b_view is None else b_view(Tensor(b.data)).data
+            return float(((x @ y) * weights).sum())
+
+        for p in (a, b):
+            assert p.grad.flags.c_contiguous or p.data.ndim > 2  # 2-D: a weight, read as W or W^T
+            assert max_rel_err(p.grad, numeric_grad(f, p.data)) < 1e-6
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((3, 4), (5, 4, 2)),           # 2-D @ 3-D
+        ((2, 5, 3, 4), (4, 2)),        # 4-D @ 2-D
+        ((5, 3, 4), (4, 2)),           # 3-D @ 2-D
+        ((3, 4), (2, 1, 4, 2)),        # 2-D @ 4-D with a size-1 batch axis
+        ((2, 1, 3, 4), (1, 3, 4, 2)),  # 4-D @ 4-D, size-1 batch axes on both
+        ((1, 3, 4), (2, 3, 4, 2)),     # 3-D @ 4-D
+    ])
+    def test_broadcast_operands(self, a_shape, b_shape):
+        rng = np.random.default_rng(len(a_shape) * 10 + len(b_shape))
+        self._check(rng.normal(size=a_shape), rng.normal(size=b_shape))
+
+    @pytest.mark.parametrize("a_shape,b_shape,side", [
+        ((4, 3), (5, 4, 2), "left"),   # W^T @ 3-D
+        ((2, 3, 4), (2, 4), "right"),  # 3-D @ W^T
+        ((4, 3), (2, 4), "both"),      # 2-D @ 2-D, as in the MLP head
+        ((5, 3, 4), (2, 5, 2, 4), "right"),  # a batched operand read transposed
+    ])
+    def test_transposed_view_operands(self, a_shape, b_shape, side):
+        rng = np.random.default_rng(len(a_shape) + 7 * len(b_shape))
+
+        def swap(t):
+            k = t.data.ndim
+            return T.transpose(t, (*range(k - 2), k - 1, k - 2))
+
+        self._check(rng.normal(size=a_shape), rng.normal(size=b_shape),
+                    swap if side in ("left", "both") else None,
+                    swap if side in ("right", "both") else None)
+
+
 class TestConv1d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -155,6 +210,16 @@ class TestConv1d:
 class TestElementwise:
     def test_relu_values(self):
         assert np.array_equal(T.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("length", [1, 3, 8, 17, 64])
+    def test_relu_maps_nan_negative_zero_and_minus_inf_to_plus_zero(self, length):
+        # at every position, so that vectorised bodies and scalar tails both run
+        for special in (np.nan, -0.0, -np.inf):
+            for pos in range(length):
+                x = np.ones(length)
+                x[pos] = special
+                out = T.relu(Tensor(x)).data[pos]
+                assert out == 0.0 and not np.signbit(out), (special, pos)
 
     def test_relu_subgradient_at_zero_is_zero(self):
         x = Tensor([0.0], requires_grad=True)
@@ -383,6 +448,26 @@ class TestGradientAccumulation:
         out.backward()
         assert np.array_equal(t.grad, 2.0 * t.data)
         assert np.array_equal(x.grad, 2.0 * x.data + 1.0)
+
+    def test_overlapping_slices_of_a_shared_gradient(self):
+        # add hands y and z one gradient array; the slices' gradients then
+        # reach y, and no retained gradient may change under them
+        x = Tensor(np.arange(5.0), requires_grad=True)
+        z = Tensor(np.ones(5), requires_grad=True)
+        y = T.reshape(x, (5,))
+        s = T.add(y, z)
+        a = T.slice_axis(y, 0, 0, 3)
+        b = T.slice_axis(y, 0, 2, 3)
+        w = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        loss = T.add(T.sum_all(T.mul(s, Tensor(w))),
+                     T.add(T.sum_all(T.mul(a, a)), T.sum_all(b)))
+        loss.backward()
+        assert np.array_equal(s.grad, w)
+        assert np.array_equal(z.grad, w)
+        assert np.array_equal(a.grad, 2.0 * x.data[:3])
+        assert np.array_equal(b.grad, np.ones(3))
+        assert np.array_equal(y.grad, w + [0.0, 2.0, 5.0, 1.0, 1.0])
+        assert np.array_equal(x.grad, y.grad)
 
     def test_overlapping_slices_accumulate(self):
         x = Tensor(np.arange(5.0), requires_grad=True)

@@ -74,6 +74,35 @@ class TestTrainLoop:
         fresh = evaluate(model, sset)
         assert abs(fresh.rmse - report.rmse) < 1e-12
 
+    def test_best_epoch_report_is_returned_without_a_second_evaluation(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate", counted)
+        sset = synthetic_set()
+        tc = TrainConfig(batch_size=8, epochs=4, lr=1e-2, patience=50, seed=1)
+        model, report = train(tiny_cfg(), tc, sset, sset)
+        assert len(calls) == len(report.loss_curve) == 4  # one per epoch, none after
+        fresh = evaluate(model, sset)
+        assert (report.mae, report.mse, report.rmse) == (fresh.mae, fresh.mse, fresh.rmse)
+
+    def test_initial_state_evaluated_when_no_epoch_improves(self, monkeypatch):
+        calls = []
+
+        def nan_monitor(*args, **kwargs):
+            calls.append(1)
+            return training.MetricsReport("regression", rmse=float("nan"))
+
+        monkeypatch.setattr(training, "evaluate", nan_monitor)
+        sset = synthetic_set()
+        tc = TrainConfig(batch_size=8, epochs=3, lr=1e-2, patience=50, seed=1)
+        _, report = train(tiny_cfg(), tc, sset, sset)
+        assert len(calls) == 3 + 1
+        assert len(report.loss_curve) == 3
+
     def test_empty_data_rejected(self):
         sset = synthetic_set(4)
         with pytest.raises(ConfigError):

@@ -95,23 +95,19 @@ def resolved_dict(model_cfg: ModelConfig, train_cfg: TrainConfig, extra: dict) -
 
 
 def cmd_prepare(args) -> int:
+    """Build every split before writing any, so a failing split leaves no partial output."""
     if args.dataset == "cmapss":
-        sset = D.load_cmapss(args.input, args.subset, window=args.window,
-                             rul_cap=args.rul_cap, split="train")
-        D.save_canonical(args.output, sset)
         out = Path(args.output)
         test_path = out.with_name(out.stem + "_test" + out.suffix)
-        test = D.load_cmapss(args.input, args.subset, window=args.window,
-                             rul_cap=args.rul_cap, split="test")
-        D.save_canonical(test_path, test)
-        print(f"wrote {args.output}: S={len(sset)} N={sset.shape[0]} "
-              f"T={sset.shape[1]} C={sset.shape[2]} task={sset.task}")
-        print(f"wrote {test_path}: S={len(test)} task={test.task}")
+        outputs = {path: D.load_cmapss(args.input, args.subset, window=args.window,
+                                       rul_cap=args.rul_cap, split=split)
+                   for path, split in ((args.output, "train"), (test_path, "test"))}
     else:
-        sset = D.load_csv(args.input, label_column=args.label_column,
-                          window=args.window, task=args.task)
-        D.save_canonical(args.output, sset)
-        print(f"wrote {args.output}: S={len(sset)} N={sset.shape[0]} "
+        outputs = {args.output: D.load_csv(args.input, label_column=args.label_column,
+                                           window=args.window, task=args.task)}
+    for path, sset in outputs.items():
+        D.save_canonical(path, sset)
+        print(f"wrote {path}: S={len(sset)} N={sset.shape[0]} "
               f"T={sset.shape[1]} C={sset.shape[2]} task={sset.task}")
     return 0
 
@@ -124,10 +120,10 @@ def setup_run(args) -> tuple[D.SampleSet, ModelConfig, TrainConfig, float]:
 
 
 def _load_sets_from(sset, args, valid_frac, seed):
-    """Train, validation and test sets; the test set defaults to the validation set."""
+    """Train, validation and test sets; without --test-data the test set is None, and
+    each run is scored by the report of its best validation epoch."""
     train_set, valid_set = D.carve_validation(sset, valid_frac, seed)
-    test_set = D.load_canonical(args.test_data) if args.test_data else valid_set
-    return train_set, valid_set, test_set
+    return train_set, valid_set, D.load_canonical(args.test_data) if args.test_data else None
 
 
 def cmd_train(args) -> int:

@@ -1,9 +1,10 @@
 """Dataset ingestion, windowing, normalization and serialization.
 
-Two input paths: the standard turbofan degradation text format
-(space-separated, 26 columns) for RUL regression, and a generic
-windowed CSV for either task. Both produce a `SampleSet`, which can be
-written to and read from a canonical binary container byte-exactly.
+Two input paths, each file read by one `np.loadtxt` call in `_read_table`:
+the standard turbofan degradation text format (space-separated, 26
+columns) for RUL regression, and a generic windowed CSV for either task.
+Both produce a `SampleSet`, which can be written to and read from a
+canonical binary container byte-exactly.
 """
 
 from __future__ import annotations
@@ -74,19 +75,23 @@ class SampleSet:
 CMAPSS_COLUMNS = 26  # unit, cycle, 3 settings, 21 sensors
 
 
-def _read_cmapss_table(path: Path, columns: int = CMAPSS_COLUMNS) -> np.ndarray:
-    """A whitespace-separated numeric table with `columns` fields per line."""
-    if not path.exists():
-        raise IOError(f"missing file: {path}")
-    with warnings.catch_warnings():
+def _read_table(path: Path, columns: int | None = None, delimiter: str | None = None,
+                dtype=np.float64) -> np.ndarray:
+    """The rows of a text table, read by one `np.loadtxt`, blank lines skipped.
+
+    Lines are stripped first unless split on whitespace (`delimiter` None), where numpy
+    ignores line-end whitespace and reads the file in blocks. `columns`: required field count.
+    """
+    with open(path) as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         try:
-            table = np.loadtxt(path, ndmin=2, comments=None)
+            table = np.loadtxt(path if delimiter is None else map(str.strip, fh), dtype=dtype,
+                               delimiter=delimiter, comments=None, ndmin=2)
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from None
     if not table.size:
         raise FormatError(f"{path}: no data rows")
-    if table.shape[1] != columns:
+    if columns is not None and table.shape[1] != columns:
         raise FormatError(f"{path}: {table.shape[1]} columns, expected {columns}")
     return table
 
@@ -112,14 +117,15 @@ def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
         raise ConfigError(f"window must be >= 1, got {window}")
     if not rul_cap > 0:
         raise ConfigError(f"rul_cap must be > 0, got {rul_cap}")
-    train = _read_cmapss_table(data_dir / f"train_{subset}.txt")
+    train = _read_table(data_dir / f"train_{subset}.txt", CMAPSS_COLUMNS)
     sensors = train[:, 5:]
     keep = sensors.std(axis=0) > 1e-12
     names = [f"s{i + 1}" for i in range(21) if keep[i]]
     mean = sensors[:, keep].mean(axis=0)
     std = sensors[:, keep].std(axis=0)
 
-    table = train if split == "train" else _read_cmapss_table(data_dir / f"test_{subset}.txt")
+    table = train if split == "train" else _read_table(
+        data_dir / f"test_{subset}.txt", CMAPSS_COLUMNS)
     table = table[np.argsort(table[:, 0], kind="stable")]
     unit_ids, first, counts = np.unique(table[:, 0], return_index=True, return_counts=True)
     last = first + counts - 1
@@ -132,7 +138,7 @@ def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
         labels = last[unit] - ends  # 0 at end of life
     else:
         rul_path = data_dir / f"RUL_{subset}.txt"
-        truth = _read_cmapss_table(rul_path, columns=1)[:, 0]
+        truth = _read_table(rul_path, columns=1)[:, 0]
         if len(truth) < len(unit_ids):
             raise FormatError(
                 f"{rul_path}: {len(truth)} RUL values for {len(unit_ids)} test units")
@@ -154,53 +160,54 @@ def load_csv(path, label_column: str = "label", window: int = 1,
     Consecutive groups of `window` rows form one sample of shape
     (sensors, window, 1); the group's last label is the sample label.
     String labels imply classification with classes in sorted order.
+    Values take `float()` syntax. Error messages count rows from 1 at the
+    header, blank lines not counted.
     """
     path = Path(path)
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    if not path.exists():
-        raise IOError(f"missing file: {path}")
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if label_column not in header:
-            raise FormatError(f"{path}: no {label_column!r} column in header")
-        label_idx = header.index(label_column)
-        sensor_names = [h for h in header if h != label_column]
-        rows, raw_labels = [], []
-        for lineno, line in enumerate(fh, 2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                raise FormatError(
-                    f"{path}: line {lineno} has {len(parts)} fields, expected {len(header)}"
-                )
-            raw_labels.append(parts[label_idx])
-            try:
-                rows.append([float(p) for i, p in enumerate(parts) if i != label_idx])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
-    if not rows or len(rows) % window != 0:
+    table = _read_table(path, delimiter=",", dtype=object)
+    header, rows = table[0], table[1:]
+    is_label = header == label_column
+    if not is_label.any():
+        raise FormatError(f"{path}: no {label_column!r} column in header")
+    label_idx = np.argmax(is_label)  # the first, as sensor names exclude every match
+    values = _floats(path, rows, np.delete(np.arange(len(header)), label_idx))
+    if task is None:
+        try:
+            rows[:, label_idx].astype(np.float64)
+            task = "regression"
+        except ValueError:
+            task = "classification"
+    labels_all = (np.unique(rows[:, label_idx], return_inverse=True)[1]
+                  if task == "classification" else _floats(path, rows, [label_idx])[:, 0])
+    if not len(rows) or len(rows) % window != 0:
         raise FormatError(
             f"{path}: {len(rows)} data rows, not a positive multiple of window length {window}"
         )
-    values = np.array(rows, dtype=np.float64)
-    if task is None:
-        task = "regression"
-        try:
-            [float(v) for v in raw_labels]
-        except ValueError:
-            task = "classification"
-    if task == "classification":
-        classes = sorted(set(raw_labels))
-        mapping = {c: i for i, c in enumerate(classes)}
-        labels_all = np.array([mapping[v] for v in raw_labels], dtype=np.float64)
-    else:
-        labels_all = np.array([float(v) for v in raw_labels])
     s = len(rows) // window
     windows = values.reshape(s, window, -1).transpose(0, 2, 1)[:, :, :, None]
     labels = labels_all.reshape(s, window)[:, -1]
-    return SampleSet(windows, labels, task, sensor_names)
+    return SampleSet(windows, labels, task, header[~is_label].tolist())
+
+
+def _floats(path: Path, rows: np.ndarray, columns) -> np.ndarray:
+    """`rows[:, columns]` as float64, else a FormatError naming the first cell float() rejects."""
+    cells = rows[:, columns]
+    try:
+        return cells.astype(np.float64)
+    except ValueError:
+        flat, lo, hi = cells.ravel(), 0, cells.size
+    while hi - lo > 1:  # bisect: flat[:lo] converts, flat[lo:hi] holds a cell that does not
+        mid = (lo + hi) // 2
+        try:
+            flat[lo:mid].astype(np.float64)
+            lo = mid
+        except ValueError:
+            hi = mid
+    row, col = divmod(lo, len(columns))
+    raise FormatError(f"{path}: could not convert string {str(flat[lo])!r} to float64 "
+                      f"at row {row + 2}, column {columns[col] + 1}")
 
 
 # -- validation carve-out -------------------------------------------------
@@ -248,9 +255,7 @@ def save_canonical(path, sset: SampleSet) -> None:
 def load_canonical(path) -> SampleSet:
     """Read a container with one structured read; windows and labels are views."""
     path = Path(path)
-    if not path.exists():
-        raise IOError(f"missing file: {path}")
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh:  # a missing file raises FileNotFoundError, an IOError
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(HEADER.size)
         if head[:4] != MAGIC:

@@ -17,6 +17,7 @@ checks the type and range of each once, at construction (`check_fields`).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import get_args, get_origin, get_type_hints
@@ -231,7 +232,10 @@ class HSMGNN:
         return fusion.mse_loss(pred, targets)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        out = self.forward(x).data
+        """Forward only, on constant views of the parameters: no op records a graph."""
+        frozen = copy.copy(self)
+        frozen.params = {k: Tensor(p.data) for k, p in self.params.items()}
+        out = frozen.forward(x).data
         if self.cfg.head == "classification":
             return out.argmax(axis=1)
         return out.reshape(-1)

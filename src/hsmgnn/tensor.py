@@ -111,7 +111,6 @@ def _tracked(t: Tensor) -> bool:
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)
     if any(_tracked(p) for p in parents):
-        out.requires_grad = False
         out._parents = tuple(parents)
         out._backward = backward
     return out
@@ -164,12 +163,8 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    data = np.empty_like(x)
-    pos = x >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    data[~pos] = e / (1.0 + e)
+    e = np.exp(-np.abs(a.data))  # never overflows
+    data = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
 
     def backward(g):
         a._accumulate(g * data * (1.0 - data))

@@ -148,12 +148,13 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
 
 
 def run_ablations(base_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
-                  valid_set: SampleSet, test_set: SampleSet,
+                  valid_set: SampleSet, test_set: SampleSet | None,
                   seeds: list[int] | None = None,
                   variants: tuple[str, ...] = VARIANTS,
                   checkpoint_dir: Path | None = None) -> list[dict]:
     """Train every requested variant over the seed list; one row per run.
 
+    A row holds the metrics on `test_set`, or else the report `train` returns.
     With `checkpoint_dir`, the first seed's model of each variant is saved
     there as `checkpoint-<variant>-seed<seed>.hsmg`.
     """
@@ -165,11 +166,12 @@ def run_ablations(base_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Samp
     for variant in variants:
         cfg = ablate(variant, base_cfg)
         for seed_cfg in train_cfgs:
-            model, _ = train(cfg, seed_cfg, train_set, valid_set)
+            model, report = train(cfg, seed_cfg, train_set, valid_set)
             seed = seed_cfg.seed
             if checkpoint_dir is not None and seed == train_cfgs[0].seed:
                 model.save(Path(checkpoint_dir) / f"checkpoint-{variant}-seed{seed}.hsmg")
-            report = evaluate(model, test_set)
+            if test_set is not None:
+                report = evaluate(model, test_set)
             rows.append({"variant": variant, "seed": seed, **report.to_dict()})
     return rows
 
@@ -181,12 +183,13 @@ SWEEP_PARAMS = {"delta": ("delta",), "m_d": ("m_d",), "m_q": ("m_q",),
 
 def sweep(param: str, values: list, base_cfg: ModelConfig, train_cfg: TrainConfig,
           train_set: SampleSet, valid_set: SampleSet,
-          test_set: SampleSet) -> list[dict]:
+          test_set: SampleSet | None) -> list[dict]:
     """One row per value; every config is built before any training.
 
     A value of a multi-field parameter (`fusion_weights`) is a tuple with
     one entry per field. Values that build the same model (equal configs,
-    or delta values that round to the same z_s) share one train+evaluate.
+    or delta values that round to the same z_s) share one run, scored as in
+    `run_ablations`.
     """
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {param!r}, choose from {[*SWEEP_PARAMS]}")
@@ -201,8 +204,9 @@ def sweep(param: str, values: list, base_cfg: ModelConfig, train_cfg: TrainConfi
     for cfg in cfgs:
         model_key = tuple({**asdict(cfg), "delta": cfg.z_s}.items())  # delta acts via z_s
         if model_key not in reports:
-            model, _ = train(cfg, train_cfg, train_set, valid_set)
-            reports[model_key] = evaluate(model, test_set).to_dict()
+            model, report = train(cfg, train_cfg, train_set, valid_set)
+            reports[model_key] = (report if test_set is None
+                                  else evaluate(model, test_set)).to_dict()
         value = [getattr(cfg, f) for f in fields]
         label = value[0] if len(value) == 1 else ",".join(map(str, value))
         rows.append({"param": param, "value": label, "seed": train_cfg.seed,

@@ -60,7 +60,7 @@ class TestPrepare:
         code = main(["prepare", "--dataset", "csv", "--input", str(src),
                      "--output", str(tmp_path / "x.mtsd")])
         assert code == 2
-        assert "line 17" in capsys.readouterr().err
+        assert "row 17" in capsys.readouterr().err
 
     def test_cmapss_prepare_writes_both_splits(self, tmp_path, capsys):
         from test_data import write_turbofan_files
@@ -74,6 +74,20 @@ class TestPrepare:
         test = D.load_canonical(tmp_path / "fd001_test.mtsd")
         assert train.task == "regression"
         assert len(test) == 5  # one terminal window per test unit
+
+    def test_failing_test_split_writes_no_split(self, tmp_path, capsys):
+        from test_data import write_turbofan_files
+
+        write_turbofan_files(tmp_path)
+        argv = ["prepare", "--dataset", "cmapss", "--input", str(tmp_path),
+                "--output", str(tmp_path / "fd001.mtsd"), "--window", "8"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("N=20 T=8 C=1") == 2  # both splits' shapes
+        for split in ("fd001.mtsd", "fd001_test.mtsd"):
+            (tmp_path / split).unlink()
+        (tmp_path / "RUL_FD001.txt").write_text("1\n")  # fewer values than test units
+        assert main(argv) == 2
+        assert not list(tmp_path.glob("*.mtsd"))
 
     def test_missing_input_exit_one(self, tmp_path):
         code = main(["prepare", "--dataset", "csv", "--input", str(tmp_path / "nope.csv"),
@@ -170,6 +184,25 @@ class TestAblateSweep:
         assert sorted(calls) == sorted((v, s) for v in VARIANTS for s in (0, 1))
         assert sorted(p.name for p in out.glob("*.hsmg")) == sorted(
             f"checkpoint-{v}-seed0.hsmg" for v in VARIANTS)
+
+    def test_without_test_data_each_run_is_evaluated_once_per_epoch(
+            self, tmp_path, toy_data, config_file, monkeypatch):
+        calls = []
+        real_evaluate = training.evaluate
+        monkeypatch.setattr(training, "evaluate",
+                            lambda *args: calls.append(1) or real_evaluate(*args))
+        run = ["--config", str(config_file), "--data", str(toy_data), "--set", "epochs=1"]
+        assert main(["ablate", *run, "--out", str(tmp_path / "a"), "--seeds", "0,1"]) == 0
+        rows = json.loads((tmp_path / "a" / "metrics.json").read_text())
+        assert len(calls) == len(rows) == 2 * len(VARIANTS)  # the validation of each epoch
+        assert all(len(r["loss_curve"]) == 1 and r["wall_clock"] > 0 for r in rows)
+        calls.clear()
+        assert main(["sweep", *run, "--out", str(tmp_path / "s"), "--param", "m_d",
+                     "--values", "2,3"]) == 0
+        assert len(calls) == 2
+        assert main(["train", *run, "--out", str(tmp_path / "t")]) == 0
+        trained = json.loads((tmp_path / "t" / "metrics.json").read_text())[0]
+        assert rows[0]["rmse"] == trained["rmse"]  # complete, seed 0
 
     def test_ablate_checkpoint_equals_train_checkpoint(self, tmp_path, toy_data, config_file):
         ablated = tmp_path / "ablate"

@@ -66,7 +66,7 @@ class TestTurbofanLoader:
         sset = D.load_cmapss(tmp_path, "FD001", window=8)
         # reconstruct the full normalized training table from all length-8
         # windows: per-channel mean/std over rows must be ~0/~1
-        table = D._read_cmapss_table(tmp_path / "train_FD001.txt")
+        table = D._read_table(tmp_path / "train_FD001.txt")
         keep = table[:, 5:].std(axis=0) > 1e-12
         normalized = (table[:, 5:][:, keep] - sset.norm_stats["mean"]) / sset.norm_stats["std"]
         assert np.max(np.abs(normalized.mean(axis=0))) < 1e-9
@@ -95,7 +95,7 @@ class TestTurbofanLoader:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(FormatError, match="no data rows"):
-                    D._read_cmapss_table(path)
+                    D._read_table(path)
 
     def test_rul_cap_must_be_positive(self, tmp_path):
         write_turbofan_files(tmp_path)
@@ -209,8 +209,64 @@ class TestCsvLoader:
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,label\n1,2,0.5\n1,2\n")
-        with pytest.raises(FormatError, match="line 3"):
+        with pytest.raises(FormatError, match="row 3"):
             D.load_csv(path, window=1)
+
+    # each text loads as the per-line parser it replaced loaded it
+    @pytest.mark.parametrize("text,values,labels,task,names", [
+        pytest.param("a,b,label\n1,2,0.5\n\n  \n\t\n3,4,1.5\n\n", [[1, 2], [3, 4]], [0.5, 1.5],
+                     "regression", ["a", "b"], id="blank-and-whitespace-only-lines"),
+        pytest.param("a,b,label\r\n1,2,0.5\r\n3,4,1.5\r\n", [[1, 2], [3, 4]], [0.5, 1.5],
+                     "regression", ["a", "b"], id="crlf"),
+        pytest.param(" a , b ,label \n 1 , 2 ,0.5\n3\t, 4, 1.5 \n", [[1, 2], [3, 4]],
+                     [0.5, 1.5], "regression", ["a ", " b "], id="spaces-around-fields"),
+        pytest.param("a,label\n1e3,1_0\n1_0,2e-1\n", [[1000], [10]], [10, 0.2],
+                     "regression", ["a"], id="exponent-and-underscore"),
+        pytest.param("x,label\n1,walk\n2,run\n3,walk\n4,sit\n", [[1], [2], [3], [4]],
+                     [2, 0, 2, 1], "classification", ["x"], id="string-labels"),
+        pytest.param("température,durée,label\n1,2,0\n", [[1, 2]], [0], "regression",
+                     ["température", "durée"], id="non-ascii-header"),
+    ])
+    def test_accepted_text(self, tmp_path, text, values, labels, task, names):
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        sset = D.load_csv(path, window=1)
+        expected = D.SampleSet(np.array(values, dtype=float)[:, :, None, None], labels, task,
+                               names)
+        assert np.array_equal(sset.windows, expected.windows)
+        assert np.array_equal(sset.labels, expected.labels)
+        assert (sset.task, sset.sensor_names) == (expected.task, expected.sensor_names)
+
+    def test_blank_first_line_is_skipped_like_any_blank_line(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("\n  \na,label\n1,0.5\n")
+        sset = D.load_csv(path)
+        assert sset.sensor_names == ["a"] and sset.labels.tolist() == [0.5]
+
+    # rows count from 1 at the header; blank lines are not counted
+    @pytest.mark.parametrize("text,task,message", [
+        pytest.param("a,b,label\n\n1,2,0.5\n\n1,2\n", None, "changed from 3 to 2 at row 3",
+                     id="ragged-row"),
+        pytest.param("a,b,label\n1,2,0.5\n3,4x,1.5\n", None,
+                     "could not convert string '4x' to float64 at row 3, column 2",
+                     id="unparsable-value"),
+        pytest.param("label,a,b\n0,1,2\n\n1,2,3\n2,3,x\n", None,
+                     "'x' to float64 at row 4, column 3", id="bad-value-after-the-label"),
+        pytest.param("a,label\n1,0.5\n2,walk\n", "regression",
+                     "'walk' to float64 at row 3, column 2", id="string-label-for-regression"),
+        pytest.param("a,b,label\n1,2,0.5,\n", None, "changed from 3 to 4 at row 2",
+                     id="trailing-comma"),
+        pytest.param("", None, "no data rows", id="empty-file"),
+        pytest.param("a,b,label\n\n", None, "0 data rows", id="header-only"),
+    ])
+    def test_rejected_text_names_file_and_row(self, tmp_path, text, task, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError) as exc:
+                D.load_csv(path, task=task)
+        assert str(path) in str(exc.value) and message in str(exc.value)
 
     def test_round_trip_through_canonical_preserves_bits(self, tmp_path):
         path = tmp_path / "toy.csv"

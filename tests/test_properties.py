@@ -1,4 +1,5 @@
-"""Property tests: corrupted containers load or raise FormatError, nothing else."""
+"""Property tests: corrupted containers and arbitrary CSV text load or raise a
+FormatError (or, for CSV, a ConfigError), nothing else."""
 
 import os
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hsmgnn import data as D  # noqa: E402
 from hsmgnn.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
-from hsmgnn.errors import FormatError  # noqa: E402
+from hsmgnn.errors import ConfigError, FormatError  # noqa: E402
 
 
 def _valid_bytes(suffix: str) -> bytes:
@@ -59,3 +60,21 @@ def test_every_bit_flip_loads_or_raises_format_error(suffix, data):
     bit = data.draw(st.integers(0, 8 * len(raw) - 1))
     raw[bit // 8] ^= 1 << (bit % 8)
     loads_or_format_error(suffix, bytes(raw))
+
+
+CSV_CHARS = st.one_of(st.sampled_from("0123456789.e_-+,, \t\r\n\nlabelinfwx"), st.characters())
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.sampled_from(["a,label", "a,b,label", "label,a", "label", "a", ""]),
+       body=st.text(CSV_CHARS, max_size=60), window=st.integers(0, 3),
+       task=st.sampled_from([None, "regression", "classification"]))
+def test_any_csv_text_loads_or_raises_format_or_config_error(header, body, window, task):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "wb") as fh:  # a lone surrogate makes the file undecodable
+            fh.write((header + "\n" + body).encode("utf-8", "surrogatepass"))
+        try:
+            D.load_csv(path, window=window, task=task)
+        except (FormatError, ConfigError):
+            pass

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hsmgnn import HSMGNN, ModelConfig, TrainConfig, ablate, evaluate, sweep, train
-from hsmgnn import training
+from hsmgnn import VARIANTS, training
+from hsmgnn import tensor as T
 from hsmgnn.data import SampleSet
 from hsmgnn.errors import ConfigError
 
@@ -146,6 +147,21 @@ class TestAblation:
         tc = TrainConfig(batch_size=8, epochs=2, patience=10, seed=0)
         model, report = train(cfg, tc, sset, sset)
         assert np.isfinite(report.rmse)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_predict_records_no_graph(variant, monkeypatch):
+    """Every op output of `predict` is a constant: no parents, no backward closure."""
+    made, make = [], T._make
+    monkeypatch.setattr(T, "_make", lambda *args: made.append(make(*args)) or made[-1])
+    model = HSMGNN(ablate(variant, tiny_cfg()), seed=0)
+    x = synthetic_set(5).model_inputs()
+    pred = model.predict(x)
+    assert made and all(t._backward is None and not t._parents for t in made)
+    assert all(p.requires_grad for p in model.params.values())
+    out = model.forward(x)
+    assert out._backward is not None
+    assert np.array_equal(pred, out.data.reshape(-1))
 
 
 class TestSweep:

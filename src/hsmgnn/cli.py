@@ -19,7 +19,7 @@ from . import data as D
 from . import training
 from .errors import ConfigError, ContractError, FormatError, NumericsError, ShapeError
 from .model import HSMGNN, ModelConfig, VARIANTS, check_value
-from .training import TrainConfig
+from .training import MetricsReport, TrainConfig
 
 MODEL_KEYS = set(ModelConfig.__dataclass_fields__) - {"n", "t"}
 TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
@@ -62,7 +62,10 @@ def load_run_config(path: str | None, overrides: list[str], seed: int | None) ->
     return cfg
 
 
-def build_configs(cfg: dict, sset: D.SampleSet) -> tuple[ModelConfig, TrainConfig, float]:
+def build_configs(args) -> tuple[D.SampleSet, ModelConfig, TrainConfig, float]:
+    """The --data set and the resolved model and train configs of a run command."""
+    cfg = load_run_config(args.config, args.set, args.seed)
+    sset = D.load_canonical(args.data)
     n, t, c = sset.shape
     model_kwargs = {k: v for k, v in cfg.items() if k in MODEL_KEYS}
     if sset.task == "classification":
@@ -70,28 +73,40 @@ def build_configs(cfg: dict, sset: D.SampleSet) -> tuple[ModelConfig, TrainConfi
         model_kwargs.setdefault("n_classes", sset.n_classes)
     model_cfg = ModelConfig(n=n * c, t=t, **model_kwargs)
     train_cfg = TrainConfig(**{k: v for k, v in cfg.items() if k in TRAIN_KEYS})
-    return model_cfg, train_cfg, check_value("valid_frac", cfg.get("valid_frac", 0.1), float)
+    return sset, model_cfg, train_cfg, check_value("valid_frac", cfg.get("valid_frac", 0.1), float)
 
 
-def write_outputs(out_dir: Path, resolved: dict, rows: list[dict]) -> None:
+def setup_run(args) -> tuple[ModelConfig, TrainConfig, float,
+                             D.SampleSet, D.SampleSet, D.SampleSet | None]:
+    """The configs, valid_frac, and the train, validation and test sets of train, ablate and
+    sweep. Without --test-data the test set is None, and each run is scored by the report of
+    its best validation epoch."""
+    sset, model_cfg, train_cfg, valid_frac = build_configs(args)
+    train_set, valid_set = D.carve_validation(sset, valid_frac, train_cfg.seed)
+    test_set = D.load_canonical(args.test_data) if args.test_data else None
+    return model_cfg, train_cfg, valid_frac, train_set, valid_set, test_set
+
+
+def write_outputs(out_dir: Path, model_cfg: ModelConfig, train_cfg: TrainConfig, extra: dict,
+                  rows: list[dict], line: str) -> int:
+    """Write resolved-config.json, metrics.json and metrics.csv, print `line` once per row,
+    formatted with the row's fields and its headline metric's `name` and `metric`, and
+    return the exit code 0."""
+    resolved = model_cfg.to_dict()
+    resolved.update({f"train.{k}": v for k, v in vars(train_cfg).items()}, **extra)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved-config.json").write_text(json.dumps(resolved, indent=2) + "\n")
     cleaned = [{k: v for k, v in row.items() if k != "loss_curve"} for row in rows]
     (out_dir / "metrics.json").write_text(json.dumps(rows, indent=2) + "\n")
-    fields: list[str] = []
-    for row in cleaned:
-        fields += [k for k in row if k not in fields]
+    fields = list(dict.fromkeys(k for row in cleaned for k in row))  # in first-seen order
     with open(out_dir / "metrics.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(cleaned)
-
-
-def resolved_dict(model_cfg: ModelConfig, train_cfg: TrainConfig, extra: dict) -> dict:
-    d = model_cfg.to_dict()
-    d.update({f"train.{k}": v for k, v in vars(train_cfg).items()})
-    d.update(extra)
-    return d
+    for row in rows:
+        name, metric, _ = MetricsReport.headline(row)
+        print(line.format(**row, name=name, metric=metric))
+    return 0
 
 
 def cmd_prepare(args) -> int:
@@ -112,77 +127,44 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-def setup_run(args) -> tuple[D.SampleSet, ModelConfig, TrainConfig, float]:
-    """The data set and the resolved model and train configs of a run command."""
-    cfg = load_run_config(args.config, args.set, args.seed)
-    sset = D.load_canonical(args.data)
-    return (sset, *build_configs(cfg, sset))
-
-
-def _load_sets_from(sset, args, valid_frac, seed):
-    """Train, validation and test sets; without --test-data the test set is None, and
-    each run is scored by the report of its best validation epoch."""
-    train_set, valid_set = D.carve_validation(sset, valid_frac, seed)
-    return train_set, valid_set, D.load_canonical(args.test_data) if args.test_data else None
-
-
 def cmd_train(args) -> int:
-    sset, model_cfg, train_cfg, valid_frac = setup_run(args)
-    train_set, valid_set = D.carve_validation(sset, valid_frac, train_cfg.seed)
+    model_cfg, train_cfg, valid_frac, train_set, valid_set, _ = setup_run(args)
     model, report = training.train(model_cfg, train_cfg, train_set, valid_set)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "checkpoint.hsmg")
-    write_outputs(out, resolved_dict(model_cfg, train_cfg, {"valid_frac": valid_frac}),
-                  [{"split": "valid", **report.to_dict()}])
-    rmse = report.rmse if report.task == "regression" else report.accu
-    print(f"final validation {'RMSE' if report.task == 'regression' else 'Accu'}: {rmse:.6f}")
-    return 0
+    return write_outputs(out, model_cfg, train_cfg, {"valid_frac": valid_frac},
+                         [{"split": "valid", **report.to_dict()}],
+                         "final validation {name}: {metric:.6f}")
 
 
 def cmd_eval(args) -> int:
-    sset, model_cfg, train_cfg, _ = setup_run(args)
+    sset, model_cfg, train_cfg, _ = build_configs(args)
     model = HSMGNN(model_cfg, seed=train_cfg.seed)
     model.load(args.checkpoint)
     report = training.evaluate(model, sset)
-    out = Path(args.out)
-    write_outputs(out, resolved_dict(model_cfg, train_cfg, {"checkpoint": args.checkpoint}),
-                  [{"split": "eval", **report.to_dict()}])
-    key = "RMSE" if report.task == "regression" else "Accu"
-    value = report.rmse if report.task == "regression" else report.accu
-    print(f"eval {key}: {value:.6f}")
-    return 0
+    return write_outputs(Path(args.out), model_cfg, train_cfg, {"checkpoint": args.checkpoint},
+                         [{"split": "eval", **report.to_dict()}], "eval {name}: {metric:.6f}")
 
 
 def cmd_ablate(args) -> int:
-    sset, model_cfg, train_cfg, valid_frac = setup_run(args)
-    train_set, valid_set, test_set = _load_sets_from(sset, args, valid_frac, train_cfg.seed)
-    variants = (args.variant,) if args.variant else VARIANTS
+    model_cfg, train_cfg, valid_frac, *sets = setup_run(args)
     seeds = [parse_value(s) for s in args.seeds.split(",")] if args.seeds else [train_cfg.seed]
     out = Path(args.out)
-    rows = training.run_ablations(model_cfg, train_cfg, train_set, valid_set, test_set,
-                                  seeds=seeds, variants=variants, checkpoint_dir=out)
-    write_outputs(out, resolved_dict(model_cfg, train_cfg,
-                                     {"valid_frac": valid_frac, "seeds": seeds}), rows)
-    for row in rows:
-        metric = row.get("rmse", row.get("accu"))
-        print(f"{row['variant']} seed={row['seed']}: {metric:.6f}")
-    return 0
+    rows = training.run_ablations(model_cfg, train_cfg, *sets, seeds=seeds,
+                                  variants=(args.variant,) if args.variant else VARIANTS,
+                                  checkpoint_dir=out)
+    return write_outputs(out, model_cfg, train_cfg, {"valid_frac": valid_frac, "seeds": seeds},
+                         rows, "{variant} seed={seed}: {metric:.6f}")
 
 
 def cmd_sweep(args) -> int:
-    sset, model_cfg, train_cfg, valid_frac = setup_run(args)
+    model_cfg, train_cfg, _, *sets = setup_run(args)
     values = [tuple(map(parse_value, item.split(":"))) for item in args.values.split(",")]
-    train_set, valid_set, test_set = _load_sets_from(sset, args, valid_frac, train_cfg.seed)
-    rows = training.sweep(args.param, values, model_cfg, train_cfg,
-                          train_set, valid_set, test_set)
-    write_outputs(Path(args.out), resolved_dict(model_cfg, train_cfg,
-                                                {"param": args.param,
-                                                 "values": args.values}), rows)
-    for row in rows:
-        metric = row.get("rmse", row.get("accu"))
-        print(f"{row['param']}={row['value']}: {metric:.6f}")
-    return 0
+    rows = training.sweep(args.param, values, model_cfg, train_cfg, *sets)
+    return write_outputs(Path(args.out), model_cfg, train_cfg,
+                         {"param": args.param, "values": args.values}, rows,
+                         "{param}={value}: {metric:.6f}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a canonical dataset")
     common(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, test_data=None)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p)

@@ -81,6 +81,8 @@ def _read_table(path: Path, columns: int | None = None, delimiter: str | None = 
 
     Lines are stripped first unless split on whitespace (`delimiter` None), where numpy
     ignores line-end whitespace and reads the file in blocks. `columns`: required field count.
+    A float table passes through `_floats`, so its values are finite and take `float()`
+    syntax; a token numpy does not parse makes it read the table again as text.
     """
     with open(path) as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
@@ -88,12 +90,14 @@ def _read_table(path: Path, columns: int | None = None, delimiter: str | None = 
             table = np.loadtxt(path if delimiter is None else map(str.strip, fh), dtype=dtype,
                                delimiter=delimiter, comments=None, ndmin=2)
         except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+            if dtype is object:
+                raise FormatError(f"{path}: {exc}") from None
+            table = _read_table(path, columns, delimiter, object)  # repeats a shape error
     if not table.size:
         raise FormatError(f"{path}: no data rows")
     if columns is not None and table.shape[1] != columns:
         raise FormatError(f"{path}: {table.shape[1]} columns, expected {columns}")
-    return table
+    return table if dtype is object else _floats(path, table, np.arange(table.shape[1]), 1)
 
 
 def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
@@ -172,7 +176,7 @@ def load_csv(path, label_column: str = "label", window: int = 1,
     if not is_label.any():
         raise FormatError(f"{path}: no {label_column!r} column in header")
     label_idx = np.argmax(is_label)  # the first, as sensor names exclude every match
-    values = _floats(path, rows, np.delete(np.arange(len(header)), label_idx))
+    values = _floats(path, rows, np.delete(np.arange(len(header)), label_idx), 2)
     if task is None:
         try:
             rows[:, label_idx].astype(np.float64)
@@ -180,7 +184,7 @@ def load_csv(path, label_column: str = "label", window: int = 1,
         except ValueError:
             task = "classification"
     labels_all = (np.unique(rows[:, label_idx], return_inverse=True)[1]
-                  if task == "classification" else _floats(path, rows, [label_idx])[:, 0])
+                  if task == "classification" else _floats(path, rows, [label_idx], 2)[:, 0])
     if not len(rows) or len(rows) % window != 0:
         raise FormatError(
             f"{path}: {len(rows)} data rows, not a positive multiple of window length {window}"
@@ -191,23 +195,30 @@ def load_csv(path, label_column: str = "label", window: int = 1,
     return SampleSet(windows, labels, task, header[~is_label].tolist())
 
 
-def _floats(path: Path, rows: np.ndarray, columns) -> np.ndarray:
-    """`rows[:, columns]` as float64, else a FormatError naming the first cell float() rejects."""
+def _floats(path: Path, rows: np.ndarray, columns, first_row: int) -> np.ndarray:
+    """`rows[:, columns]` as float64, else a FormatError naming the first cell that float()
+    rejects or that is not finite. `first_row` is the row number of `rows[0]`."""
     cells = rows[:, columns]
     try:
-        return cells.astype(np.float64)
+        values = cells.astype(np.float64, copy=False)
     except ValueError:
         flat, lo, hi = cells.ravel(), 0, cells.size
-    while hi - lo > 1:  # bisect: flat[:lo] converts, flat[lo:hi] holds a cell that does not
-        mid = (lo + hi) // 2
-        try:
-            flat[lo:mid].astype(np.float64)
-            lo = mid
-        except ValueError:
-            hi = mid
-    row, col = divmod(lo, len(columns))
-    raise FormatError(f"{path}: could not convert string {str(flat[lo])!r} to float64 "
-                      f"at row {row + 2}, column {columns[col] + 1}")
+        while hi - lo > 1:  # bisect: flat[:lo] converts, flat[lo:hi] holds a cell that does not
+            mid = (lo + hi) // 2
+            try:
+                flat[lo:mid].astype(np.float64)
+                lo = mid
+            except ValueError:
+                hi = mid
+        at, problem = lo, f"could not convert string {str(flat[lo])!r} to float64"
+    else:
+        finite = np.isfinite(values)
+        if finite.all():
+            return values
+        at = int(np.argmin(finite))  # the first non-finite cell in row-major order
+        problem = f"non-finite value {values.flat[at]}"
+    row, col = divmod(at, len(columns))
+    raise FormatError(f"{path}: {problem} at row {row + first_row}, column {columns[col] + 1}")
 
 
 # -- validation carve-out -------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +44,19 @@ class MetricsReport:
     loss_curve: list[float] = field(default_factory=list)
     wall_clock: float = 0.0
 
+    @staticmethod
+    def headline(metrics: dict) -> tuple[str, float, int]:
+        """The printed name and value of a report's main metric (RMSE for regression, accuracy
+        for classification), found in its fields, and the sign that makes lower better."""
+        if metrics["task"] == "regression":
+            return "RMSE", metrics["rmse"], 1
+        return "Accu", metrics["accu"], -1
+
     @property
     def monitor(self) -> float:
         """Early-stopping objective: lower is better."""
-        return self.rmse if self.task == "regression" else -self.accu
+        _, value, sign = self.headline(vars(self))
+        return sign * value
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -103,16 +112,18 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
     opt = Adam(model.params, lr=train_cfg.lr)
     inputs = train_set.model_inputs()
     labels = train_set.labels
+    batches = range(0, len(train_set), train_cfg.batch_size)
+    n_steps = min(train_cfg.epochs * len(batches), train_cfg.max_steps or np.inf)
 
     best_state, best_report = model.state_dict(), None
     best_monitor = np.inf
     bad_epochs = 0
     loss_curve: list[float] = []
     step = 0
-    for epoch in range(train_cfg.epochs):
+    for epoch in range(-(-n_steps // len(batches))):  # only the last may stop short
         order = rng.permutation(len(train_set))
         epoch_losses = []
-        for lo in range(0, len(order), train_cfg.batch_size):
+        for lo in batches[:n_steps - step]:
             idx = order[lo:lo + train_cfg.batch_size]
             pred = model.forward(inputs[idx])
             loss = model.loss(pred, labels[idx])
@@ -125,8 +136,6 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
             del pred, loss  # frees the step's graph before the next forward
             epoch_losses.append(value)
             step += 1
-            if train_cfg.max_steps is not None and step >= train_cfg.max_steps:
-                break
         loss_curve.append(float(np.mean(epoch_losses)))
         val = evaluate(model, valid_set)
         if val.monitor < best_monitor:
@@ -135,8 +144,6 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
         else:
             bad_epochs += 1
         if bad_epochs >= train_cfg.patience:
-            break
-        if train_cfg.max_steps is not None and step >= train_cfg.max_steps:
             break
 
     model.load_state_dict(best_state)
@@ -147,33 +154,45 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
     return model, report
 
 
+def _train_grid(runs: list[tuple[dict, ModelConfig, TrainConfig, Path | None]],
+                train_set: SampleSet, valid_set: SampleSet,
+                test_set: SampleSet | None) -> list[dict]:
+    """One row per (labels, model config, train config, checkpoint path or None) run: its
+    labels and the metrics on `test_set`, or else the report `train` returns. Runs that build
+    the same model (equal configs, or delta values that round to the same z_s) share one
+    training, which saves its model to the run's checkpoint path, if any."""
+    rows, scores = [], {}
+    for labels, model_cfg, run_cfg, checkpoint in runs:
+        key = (tuple({**asdict(model_cfg), "delta": model_cfg.z_s}.items()), astuple(run_cfg))
+        if key not in scores:
+            model, report = train(model_cfg, run_cfg, train_set, valid_set)
+            if checkpoint is not None:
+                model.save(checkpoint)
+            scores[key] = (report if test_set is None else evaluate(model, test_set)).to_dict()
+        rows.append({**labels, **scores[key]})
+    return rows
+
+
 def run_ablations(base_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
                   valid_set: SampleSet, test_set: SampleSet | None,
                   seeds: list[int] | None = None,
                   variants: tuple[str, ...] = VARIANTS,
                   checkpoint_dir: Path | None = None) -> list[dict]:
-    """Train every requested variant over the seed list; one row per run.
+    """Train every requested variant over the seed list; one row per run, scored as in
+    `_train_grid`, so a repeated seed shares its variant's run.
 
-    A row holds the metrics on `test_set`, or else the report `train` returns.
     With `checkpoint_dir`, the first seed's model of each variant is saved
     there as `checkpoint-<variant>-seed<seed>.hsmg`.
     """
     # built before any training or output, so every seed is checked first
     train_cfgs = [train_cfg] if seeds is None else [replace(train_cfg, seed=s) for s in seeds]
+    runs = [({"variant": v, "seed": tc.seed}, ablate(v, base_cfg), tc,
+             Path(checkpoint_dir) / f"checkpoint-{v}-seed{tc.seed}.hsmg"
+             if checkpoint_dir is not None and tc.seed == train_cfgs[0].seed else None)
+            for v in variants for tc in train_cfgs]
     if checkpoint_dir is not None:
         Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-    rows = []
-    for variant in variants:
-        cfg = ablate(variant, base_cfg)
-        for seed_cfg in train_cfgs:
-            model, report = train(cfg, seed_cfg, train_set, valid_set)
-            seed = seed_cfg.seed
-            if checkpoint_dir is not None and seed == train_cfgs[0].seed:
-                model.save(Path(checkpoint_dir) / f"checkpoint-{variant}-seed{seed}.hsmg")
-            if test_set is not None:
-                report = evaluate(model, test_set)
-            rows.append({"variant": variant, "seed": seed, **report.to_dict()})
-    return rows
+    return _train_grid(runs, train_set, valid_set, test_set)
 
 
 # each sweep parameter and the config field(s) one of its values sets
@@ -184,31 +203,21 @@ SWEEP_PARAMS = {"delta": ("delta",), "m_d": ("m_d",), "m_q": ("m_q",),
 def sweep(param: str, values: list, base_cfg: ModelConfig, train_cfg: TrainConfig,
           train_set: SampleSet, valid_set: SampleSet,
           test_set: SampleSet | None) -> list[dict]:
-    """One row per value; every config is built before any training.
-
-    A value of a multi-field parameter (`fusion_weights`) is a tuple with
-    one entry per field. Values that build the same model (equal configs,
-    or delta values that round to the same z_s) share one run, scored as in
-    `run_ablations`.
+    """One row per value, scored as in `_train_grid`; every config is built before any
+    training. A value of a multi-field parameter (`fusion_weights`) is a tuple with one
+    entry per field.
     """
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {param!r}, choose from {[*SWEEP_PARAMS]}")
     fields = SWEEP_PARAMS[param]
-    cfgs = []
+    runs = []
     for value in values:
         parts = value if isinstance(value, tuple) else (value,)
         if len(parts) != len(fields):
             raise ConfigError(f"{param} takes {len(fields)} number(s) per value, got {value!r}")
-        cfgs.append(replace(base_cfg, **dict(zip(fields, parts))))
-    rows, reports = [], {}
-    for cfg in cfgs:
-        model_key = tuple({**asdict(cfg), "delta": cfg.z_s}.items())  # delta acts via z_s
-        if model_key not in reports:
-            model, report = train(cfg, train_cfg, train_set, valid_set)
-            reports[model_key] = (report if test_set is None
-                                  else evaluate(model, test_set)).to_dict()
+        cfg = replace(base_cfg, **dict(zip(fields, parts)))
         value = [getattr(cfg, f) for f in fields]
         label = value[0] if len(value) == 1 else ",".join(map(str, value))
-        rows.append({"param": param, "value": label, "seed": train_cfg.seed,
-                     **reports[model_key]})
-    return rows
+        runs.append(({"param": param, "value": label, "seed": train_cfg.seed}, cfg, train_cfg,
+                     None))
+    return _train_grid(runs, train_set, valid_set, test_set)

@@ -185,6 +185,18 @@ class TestAblateSweep:
         assert sorted(p.name for p in out.glob("*.hsmg")) == sorted(
             f"checkpoint-{v}-seed0.hsmg" for v in VARIANTS)
 
+    def test_repeated_seed_shares_one_run(self, tmp_path, toy_data, config_file, monkeypatch):
+        calls = []
+        real_train = training.train
+        monkeypatch.setattr(training, "train", lambda *a: calls.append(a) or real_train(*a))
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(config_file), "--data", str(toy_data),
+                     "--out", str(out), "--seeds", "0,0", "--variant", "complete",
+                     "--set", "epochs=1"]) == 0
+        rows = json.loads((out / "metrics.json").read_text())
+        assert len(calls) == 1
+        assert len(rows) == 2 and rows[0] == rows[1]
+
     def test_without_test_data_each_run_is_evaluated_once_per_epoch(
             self, tmp_path, toy_data, config_file, monkeypatch):
         calls = []
@@ -315,6 +327,18 @@ def _drop_last_line(text):
     return "".join(text.splitlines(True)[:-1])
 
 
+def _cell(row, column, token, blank_lines=0):
+    """An edit putting `token` in a cell of a whitespace table (both counted from 1), after
+    `blank_lines` new blank lines at the top."""
+    def edit(text):
+        lines = text.splitlines(True)
+        fields = lines[row - 1].split()
+        fields[column - 1] = token
+        lines[row - 1] = " ".join(fields) + "\n"
+        return "\n" * blank_lines + "".join(lines)
+    return edit
+
+
 MALFORMED = [
     pytest.param(_run("train", "--set", "w_p=abc"), id="set-w_p-abc"),
     pytest.param(_run("train", "--set", "mlp_widths=5"), id="set-mlp_widths-5"),
@@ -348,6 +372,12 @@ MALFORMED = [
     pytest.param(_csv("a,label\n1,0\n2,1\n", "0"), id="csv-window-0"),
     pytest.param(_csv("a,label\n", "1"), id="csv-header-only"),
     pytest.param(_csv("a,label\n1,0\ninf,1\n", "1"), id="csv-inf-token"),
+    pytest.param(_turbofan(name="train_FD001.txt", edit=_cell(7, 7, "inf")),
+                 id="cmapss-train-inf"),
+    pytest.param(_turbofan(name="test_FD001.txt", edit=_cell(2, 26, "nan")), id="cmapss-test-nan"),
+    pytest.param(_turbofan(name="RUL_FD001.txt", edit=_cell(3, 1, "1e400")),
+                 id="cmapss-rul-overflow"),
+    pytest.param(_csv("a,label\n1,0\n2,nan\n", "1"), id="csv-nan-label"),
 ]
 
 
@@ -358,6 +388,32 @@ def test_malformed_input_exits_two(make_argv, tmp_path, toy_data, config_file, c
     run = ["--config", str(config_file), "--data", str(toy_data), "--out", str(tmp_path / "o")]
     assert main(make_argv(tmp_path, run)) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# rows count from 1, blank lines not counted; columns count from 1
+@pytest.mark.parametrize("make_argv,message", [
+    pytest.param(_turbofan(name="train_FD001.txt", edit=_cell(7, 7, "inf")),
+                 "train_FD001.txt: non-finite value inf at row 7, column 7", id="cmapss-inf"),
+    pytest.param(_turbofan(name="train_FD001.txt", edit=_bad_token),
+                 "train_FD001.txt: could not convert string '4x.000000' to float64 "
+                 "at row 1, column 15", id="cmapss-token-first-line"),
+    pytest.param(_turbofan(name="train_FD001.txt", edit=_cell(2, 3, "4x", blank_lines=2)),
+                 "train_FD001.txt: could not convert string '4x' to float64 at row 2, column 3",
+                 id="cmapss-token-after-blank-lines"),
+    pytest.param(_turbofan(name="test_FD001.txt", edit=_cell(2, 26, "nan", blank_lines=1)),
+                 "test_FD001.txt: non-finite value nan at row 2, column 26", id="cmapss-test-nan"),
+    pytest.param(_turbofan(name="RUL_FD001.txt", edit=_cell(3, 1, "1e400")),
+                 "RUL_FD001.txt: non-finite value inf at row 3, column 1",
+                 id="cmapss-rul-overflow"),
+    pytest.param(_csv("a,label\n1,0\ninf,1\n", "1"),
+                 "in.csv: non-finite value inf at row 3, column 1", id="csv-inf"),
+    pytest.param(_csv("a,b,label\n\n1,2,0\n\n3,4,-inf\n", "1"),
+                 "in.csv: non-finite value -inf at row 3, column 3",
+                 id="csv-label-after-blank-lines"),
+])
+def test_malformed_value_names_its_row_and_column(make_argv, message, tmp_path, capsys):
+    assert main(make_argv(tmp_path, [])) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_ablate_bad_seed_creates_no_output_directory(tmp_path, toy_data, config_file):

@@ -97,6 +97,14 @@ class TestTurbofanLoader:
                 with pytest.raises(FormatError, match="no data rows"):
                     D._read_table(path)
 
+    def test_values_take_float_syntax(self, tmp_path):
+        write_turbofan_files(tmp_path)
+        plain = D.load_cmapss(tmp_path, "FD001", window=8)
+        path = tmp_path / "train_FD001.txt"
+        path.write_text(path.read_text().replace("42.000000", "4_2.0", 1))  # numpy rejects it
+        spelled = D.load_cmapss(tmp_path, "FD001", window=8)
+        assert np.array_equal(spelled.windows, plain.windows)
+
     def test_rul_cap_must_be_positive(self, tmp_path):
         write_turbofan_files(tmp_path)
         for cap in (0.0, -5.0, float("nan")):

@@ -11,20 +11,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import data as D
 from . import training
 from .errors import ConfigError, ContractError, FormatError, NumericsError, ShapeError
-from .model import HSMGNN, ModelConfig, VARIANTS, check_value
+from .model import HSMGNN, ModelConfig, VARIANTS
 from .training import MetricsReport, TrainConfig
 
 MODEL_KEYS = set(ModelConfig.__dataclass_fields__) - {"n", "t"}
 TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
-EXTRA_KEYS = {"valid_frac"}
-ALLOWED_KEYS = MODEL_KEYS | TRAIN_KEYS | EXTRA_KEYS
+ALLOWED_KEYS = MODEL_KEYS | TRAIN_KEYS
 
 
 def parse_value(raw: str):
@@ -41,8 +39,6 @@ def load_run_config(path: str | None, overrides: list[str], seed: int | None) ->
     cfg: dict = {}
     if path:
         p = Path(path)
-        if not p.exists():
-            raise IOError(f"missing config file: {p}")
         try:
             cfg = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
@@ -57,34 +53,36 @@ def load_run_config(path: str | None, overrides: list[str], seed: int | None) ->
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if seed is not None:
         cfg["seed"] = seed
-    elif "seed" not in cfg and os.environ.get("HSMGNN_SEED"):
-        cfg["seed"] = parse_value(os.environ["HSMGNN_SEED"])
     return cfg
 
 
-def build_configs(args) -> tuple[D.SampleSet, ModelConfig, TrainConfig, float]:
-    """The --data set and the resolved model and train configs of a run command."""
+def build_configs(args) -> tuple[D.SampleSet, ModelConfig, TrainConfig]:
+    """The --data set and the resolved model and train configs of a run command. `n_classes`
+    defaults to the set's class count, or 1 for regression, and must fit the set."""
     cfg = load_run_config(args.config, args.set, args.seed)
     sset = D.load_canonical(args.data)
     n, t, c = sset.shape
     model_kwargs = {k: v for k, v in cfg.items() if k in MODEL_KEYS}
-    if sset.task == "classification":
-        model_kwargs.setdefault("head", "classification")
-        model_kwargs.setdefault("n_classes", sset.n_classes)
+    classify = sset.task == "classification"
+    model_kwargs.setdefault("n_classes", sset.n_classes if classify else 1)
     model_cfg = ModelConfig(n=n * c, t=t, **model_kwargs)
+    if (model_cfg.n_classes > 1) != classify or model_cfg.n_classes < sset.n_classes:
+        need = f">= {max(2, sset.n_classes)}" if classify else "1"
+        raise ConfigError(f"n_classes={model_cfg.n_classes} does not fit {args.data}: "
+                          f"its {sset.task} labels need n_classes {need}")
     train_cfg = TrainConfig(**{k: v for k, v in cfg.items() if k in TRAIN_KEYS})
-    return sset, model_cfg, train_cfg, check_value("valid_frac", cfg.get("valid_frac", 0.1), float)
+    return sset, model_cfg, train_cfg
 
 
-def setup_run(args) -> tuple[ModelConfig, TrainConfig, float,
+def setup_run(args) -> tuple[ModelConfig, TrainConfig,
                              D.SampleSet, D.SampleSet, D.SampleSet | None]:
-    """The configs, valid_frac, and the train, validation and test sets of train, ablate and
-    sweep. Without --test-data the test set is None, and each run is scored by the report of
-    its best validation epoch."""
-    sset, model_cfg, train_cfg, valid_frac = build_configs(args)
-    train_set, valid_set = D.carve_validation(sset, valid_frac, train_cfg.seed)
+    """The configs and the train, validation and test sets of train, ablate and sweep.
+    Without --test-data the test set is None, and each run is scored by the report of its
+    best validation epoch."""
+    sset, model_cfg, train_cfg = build_configs(args)
+    train_set, valid_set = D.carve_validation(sset, train_cfg.valid_frac, train_cfg.seed)
     test_set = D.load_canonical(args.test_data) if args.test_data else None
-    return model_cfg, train_cfg, valid_frac, train_set, valid_set, test_set
+    return model_cfg, train_cfg, train_set, valid_set, test_set
 
 
 def write_outputs(out_dir: Path, model_cfg: ModelConfig, train_cfg: TrainConfig, extra: dict,
@@ -128,18 +126,17 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    model_cfg, train_cfg, valid_frac, train_set, valid_set, _ = setup_run(args)
+    model_cfg, train_cfg, train_set, valid_set, _ = setup_run(args)
     model, report = training.train(model_cfg, train_cfg, train_set, valid_set)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "checkpoint.hsmg")
-    return write_outputs(out, model_cfg, train_cfg, {"valid_frac": valid_frac},
-                         [{"split": "valid", **report.to_dict()}],
+    return write_outputs(out, model_cfg, train_cfg, {}, [{"split": "valid", **report.to_dict()}],
                          "final validation {name}: {metric:.6f}")
 
 
 def cmd_eval(args) -> int:
-    sset, model_cfg, train_cfg, _ = build_configs(args)
+    sset, model_cfg, train_cfg = build_configs(args)
     model = HSMGNN(model_cfg, seed=train_cfg.seed)
     model.load(args.checkpoint)
     report = training.evaluate(model, sset)
@@ -148,18 +145,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    model_cfg, train_cfg, valid_frac, *sets = setup_run(args)
+    model_cfg, train_cfg, *sets = setup_run(args)
     seeds = [parse_value(s) for s in args.seeds.split(",")] if args.seeds else [train_cfg.seed]
     out = Path(args.out)
     rows = training.run_ablations(model_cfg, train_cfg, *sets, seeds=seeds,
                                   variants=(args.variant,) if args.variant else VARIANTS,
                                   checkpoint_dir=out)
-    return write_outputs(out, model_cfg, train_cfg, {"valid_frac": valid_frac, "seeds": seeds},
+    return write_outputs(out, model_cfg, train_cfg, {"seeds": seeds},
                          rows, "{variant} seed={seed}: {metric:.6f}")
 
 
 def cmd_sweep(args) -> int:
-    model_cfg, train_cfg, _, *sets = setup_run(args)
+    model_cfg, train_cfg, *sets = setup_run(args)
     values = [tuple(map(parse_value, item.split(":"))) for item in args.values.split(",")]
     rows = training.sweep(args.param, values, model_cfg, train_cfg, *sets)
     return write_outputs(Path(args.out), model_cfg, train_cfg,

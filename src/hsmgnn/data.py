@@ -45,6 +45,9 @@ class SampleSet:
             raise ConfigError("label count does not match window count")
         if not (np.isfinite(self.windows).all() and np.isfinite(self.labels).all()):
             raise FormatError("NaN or infinite values after ingestion")
+        if self.task == "classification" and not (
+                (self.labels >= 0) & (self.labels == np.floor(self.labels))).all():
+            raise FormatError("classification labels must be non-negative integers")
 
     def __len__(self) -> int:
         return len(self.windows)
@@ -91,7 +94,8 @@ def _read_table(path: Path, columns: int | None = None, delimiter: str | None = 
                                delimiter=delimiter, comments=None, ndmin=2)
         except ValueError as exc:
             if dtype is object:
-                raise FormatError(f"{path}: {exc}") from None
+                # numpy's shape message ends in advice on `usecols`, not a setting here
+                raise FormatError(f"{path}: {str(exc).split('; use `usecols`')[0]}") from None
             table = _read_table(path, columns, delimiter, object)  # repeats a shape error
     if not table.size:
         raise FormatError(f"{path}: no data rows")

@@ -79,8 +79,7 @@ class ModelConfig:
     w_s: float = 0.5             # SPD fusion weight
     w_e: float = 0.5             # Euclidean fusion weight
     mlp_widths: tuple[int, int, int] = (128, 64, 32)
-    head: str = "regression"     # or "classification"
-    n_classes: int = 1
+    n_classes: int = 1           # head outputs: 1 regresses, 2 or more classify
     eps_spd: float = 1e-6
     kernel: int = 3
     variant: str = "complete"
@@ -93,10 +92,6 @@ class ModelConfig:
             raise ConfigError(f"{', '.join(small) or 'mlp_widths'} must be >= 1")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.head not in ("regression", "classification"):
-            raise ConfigError(f"unknown head {self.head!r}")
-        if self.head == "classification" and self.n_classes < 2:
-            raise ConfigError("classification head needs n_classes >= 2")
         if self.t < self.w_p:
             raise ConfigError(f"series length {self.t} shorter than block length {self.w_p}")
         if not 0.0 < self.delta < 1.0:
@@ -143,10 +138,6 @@ class ModelConfig:
             width += k * self.n * self.f_e
         return width
 
-    @property
-    def output_width(self) -> int:
-        return self.n_classes if self.head == "classification" else 1
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -185,7 +176,7 @@ class HSMGNN:
         if cfg.has_euclid:
             self._param("proj_e.w", (cfg.w_p, cfg.f_e), cfg.w_p, rng)
             self._param("proj_e.b", (cfg.f_e,), cfg.w_p, rng)
-        widths = (cfg.fused_width,) + cfg.mlp_widths + (cfg.output_width,)
+        widths = (cfg.fused_width,) + cfg.mlp_widths + (cfg.n_classes,)
         for i in range(4):
             self._param(f"mlp.w{i + 1}", (widths[i + 1], widths[i]), widths[i], rng)
             self._param(f"mlp.b{i + 1}", (widths[i + 1],), widths[i], rng)
@@ -227,7 +218,7 @@ class HSMGNN:
         return fusion.fuse_and_predict(u_s_c, u_e_c, cfg.w_s, cfg.w_e, mlp)
 
     def loss(self, pred: Tensor, targets: np.ndarray) -> Tensor:
-        if self.cfg.head == "classification":
+        if self.cfg.n_classes > 1:
             return fusion.cross_entropy_loss(pred, targets)
         return fusion.mse_loss(pred, targets)
 
@@ -236,7 +227,7 @@ class HSMGNN:
         frozen = copy.copy(self)
         frozen.params = {k: Tensor(p.data) for k, p in self.params.items()}
         out = frozen.forward(x).data
-        if self.cfg.head == "classification":
+        if self.cfg.n_classes > 1:
             return out.argmax(axis=1)
         return out.reshape(-1)
 

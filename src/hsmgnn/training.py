@@ -22,6 +22,7 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     max_steps: int | None = None   # optional hard cap, mostly for smoke runs
+    valid_frac: float = 0.1        # validation share; carve_validation checks it is in (0, 1)
 
     def __post_init__(self):
         check_fields(self)

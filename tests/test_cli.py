@@ -60,7 +60,8 @@ class TestPrepare:
         code = main(["prepare", "--dataset", "csv", "--input", str(src),
                      "--output", str(tmp_path / "x.mtsd")])
         assert code == 2
-        assert "row 17" in capsys.readouterr().err
+        # numpy's advice on `usecols` names no setting of hsmgnn, so the message ends here
+        assert capsys.readouterr().err.rstrip().endswith("changed from 3 to 2 at row 17")
 
     def test_cmapss_prepare_writes_both_splits(self, tmp_path, capsys):
         from test_data import write_turbofan_files
@@ -93,6 +94,25 @@ class TestPrepare:
         code = main(["prepare", "--dataset", "csv", "--input", str(tmp_path / "nope.csv"),
                      "--output", str(tmp_path / "x.mtsd")])
         assert code == 1
+
+    def test_classification_round_trip(self, tmp_path, config_file, capsys):
+        rng = np.random.default_rng(3)
+        classes = np.array(["hi", "lo", "mid"])[rng.permutation(np.arange(16) % 3)]
+        rows = ["a,b,c,label"] + [f"{rng.normal()},{rng.normal()},{rng.normal()},{label}"
+                                  for label in classes.repeat(8)]  # one label per window
+        src, data = tmp_path / "cls.csv", tmp_path / "cls.mtsd"
+        src.write_text("\n".join(rows) + "\n")
+        assert main(["prepare", "--dataset", "csv", "--input", str(src), "--output", str(data),
+                     "--window", "8"]) == 0
+        assert "task=classification" in capsys.readouterr().out
+        run = ["--config", str(config_file), "--data", str(data)]
+        assert main(["train", *run, "--out", str(tmp_path / "t")]) == 0
+        assert capsys.readouterr().out.startswith("final validation Accu: ")
+        resolved = json.loads((tmp_path / "t" / "resolved-config.json").read_text())
+        assert resolved["n_classes"] == 3
+        assert main(["eval", *run, "--checkpoint", str(tmp_path / "t" / "checkpoint.hsmg"),
+                     "--out", str(tmp_path / "e")]) == 0
+        assert capsys.readouterr().out.startswith("eval Accu: ")
 
 
 class TestTrainEval:
@@ -131,6 +151,26 @@ class TestTrainEval:
                      "--out", str(out), "--set", "epochs=1"]) == 0
         resolved = json.loads((out / "resolved-config.json").read_text())
         assert resolved["train.epochs"] == 1
+
+    def test_every_command_records_valid_frac(self, tmp_path, toy_data, config_file):
+        run = ["--config", str(config_file), "--data", str(toy_data), "--set", "epochs=1",
+               "--set", "valid_frac=0.3"]
+        checkpoint = str(tmp_path / "train" / "checkpoint.hsmg")
+        for command, *extra in (["train"], ["eval", "--checkpoint", checkpoint],
+                                ["ablate", "--variant", "complete"],
+                                ["sweep", "--param", "m_d", "--values", "3"]):
+            out = tmp_path / command
+            assert main([command, *run, "--out", str(out), *extra]) == 0
+            resolved = json.loads((out / "resolved-config.json").read_text())
+            assert resolved["train.valid_frac"] == 0.3
+            assert "valid_frac" not in resolved and "head" not in resolved
+
+    def test_missing_config_file_is_an_io_error(self, tmp_path, toy_data, capsys):
+        config = tmp_path / "nope.json"
+        assert main(["train", "--config", str(config), "--data", str(toy_data),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"I/O error: [Errno 2] No such file or directory: '{config}'\n")
 
 
 class TestMalformedInput:
@@ -276,26 +316,22 @@ class TestAblateSweep:
             assert exc.value.code == 2
 
 
-def test_seed_env_fallback(tmp_path, toy_data, monkeypatch):
-    monkeypatch.setenv("HSMGNN_SEED", "7")
-    cfg = {k: v for k, v in TINY.items() if k != "seed"}
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(cfg))
-    out = tmp_path / "run"
-    assert main(["train", "--config", str(config), "--data", str(toy_data),
-                 "--out", str(out)]) == 0
-    resolved = json.loads((out / "resolved-config.json").read_text())
-    assert resolved["train.seed"] == 7
-
-
 def _run(command, *extra):
     return lambda tmp, run: [command, *run, *extra]
 
 
-def _seed_env(tmp, run):
-    config = tmp / "noseed.json"
-    config.write_text(json.dumps({k: v for k, v in TINY.items() if k != "seed"}))
-    return ["train", *run, "--config", str(config)]
+def _classes(labels, *extra):
+    """`train` on a container of the task classification, one sample per label; the labels
+    are written past `SampleSet`, which rejects the ones that are not class indices."""
+    def argv(tmp, run):
+        path = tmp / "classes.mtsd"
+        x = np.random.default_rng(0).normal(size=(len(labels), 3, 8, 1))
+        D.save_canonical(path, D.SampleSet(x, labels, "regression"))
+        raw = bytearray(path.read_bytes())
+        raw[D.HEADER.size - 1] = D.TASK_CODES["classification"]
+        path.write_bytes(raw)
+        return ["train", *run, "--data", str(path), *extra]
+    return argv
 
 
 def _turbofan(window="8", name=None, edit=None, extra=()):
@@ -350,7 +386,13 @@ MALFORMED = [
     pytest.param(_run("train", "--set", "f_s=0"), id="set-f_s-0"),
     pytest.param(_run("train", "--set", "eps_spd=0"), id="set-eps_spd-0"),
     pytest.param(_run("train", "--set", "valid_frac=abc"), id="set-valid_frac-abc"),
-    pytest.param(_seed_env, id="env-seed-abc"),
+    pytest.param(_run("train", "--set", "head=classification"), id="set-head"),
+    pytest.param(_run("train", "--set", "n_classes=3"), id="regression-n_classes-3"),
+    pytest.param(_classes(np.arange(12) % 3, "--set", "n_classes=2"), id="3-classes-n_classes-2"),
+    pytest.param(_classes(np.arange(12) % 3, "--set", "n_classes=1"), id="3-classes-n_classes-1"),
+    pytest.param(_classes(np.zeros(12)), id="1-class"),
+    pytest.param(_classes(np.r_[np.arange(11) % 3, -1]), id="label-negative"),
+    pytest.param(_classes(np.r_[np.arange(11) % 3, 0.5]), id="label-fraction"),
     pytest.param(_run("sweep", "--param", "delta", "--values", "abc"), id="sweep-delta-abc"),
     pytest.param(_run("sweep", "--param", "m_d", "--values", "1.5"), id="sweep-m_d-1.5"),
     pytest.param(_run("sweep", "--param", "fusion_weights", "--values", "0.5"),
@@ -382,12 +424,11 @@ MALFORMED = [
 
 
 @pytest.mark.parametrize("make_argv", MALFORMED)
-def test_malformed_input_exits_two(make_argv, tmp_path, toy_data, config_file, capsys,
-                                   monkeypatch):
-    monkeypatch.setenv("HSMGNN_SEED", "abc")  # read only when no seed is configured
+def test_malformed_input_exits_two(make_argv, tmp_path, toy_data, config_file, capsys):
     run = ["--config", str(config_file), "--data", str(toy_data), "--out", str(tmp_path / "o")]
     assert main(make_argv(tmp_path, run)) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
 
 
 # rows count from 1, blank lines not counted; columns count from 1

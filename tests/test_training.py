@@ -111,7 +111,7 @@ class TestTrainLoop:
 
     def test_classification_training(self):
         sset = synthetic_set(task="classification")
-        cfg = tiny_cfg(head="classification", n_classes=3)
+        cfg = tiny_cfg(n_classes=3)
         tc = TrainConfig(batch_size=8, epochs=2, patience=10, seed=2)
         model, report = train(cfg, tc, sset, sset)
         assert report.task == "classification"

@@ -108,13 +108,15 @@ def write_outputs(out_dir: Path, model_cfg: ModelConfig, train_cfg: TrainConfig,
 
 
 def cmd_prepare(args) -> int:
-    """Build every split before writing any, so a failing split leaves no partial output."""
+    """Build every split before writing any, so a failing split leaves no partial output.
+    The turbofan test split is normalized with the train split's statistics, so the
+    training table is parsed once."""
     if args.dataset == "cmapss":
         out = Path(args.output)
-        test_path = out.with_name(out.stem + "_test" + out.suffix)
-        outputs = {path: D.load_cmapss(args.input, args.subset, window=args.window,
-                                       rul_cap=args.rul_cap, split=split)
-                   for path, split in ((args.output, "train"), (test_path, "test"))}
+        train = D.load_cmapss(args.input, args.subset, window=args.window, rul_cap=args.rul_cap)
+        test = D._cmapss_test(args.input, args.subset, args.window, args.rul_cap,
+                              train.sensor_names, train.norm_stats)
+        outputs = {args.output: train, out.with_name(out.stem + "_test" + out.suffix): test}
     else:
         outputs = {args.output: D.load_csv(args.input, label_column=args.label_column,
                                            window=args.window, task=args.task)}

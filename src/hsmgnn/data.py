@@ -5,6 +5,12 @@ the standard turbofan degradation text format (space-separated, 26
 columns) for RUL regression, and a generic windowed CSV for either task.
 Both produce a `SampleSet`, which can be written to and read from a
 canonical binary container byte-exactly.
+
+A `SampleSet` holds a source array of windows and an optional index of the
+windows it holds. A turbofan set's source is a read-only sliding-window view
+of its normalized rows, so overlapping windows share their rows: from text to
+a trained model nothing builds an (S, N, T, C) array, since `subset` composes
+indices over the same source and `model_inputs` gathers one batch at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, FormatError
 
@@ -25,36 +32,57 @@ TASK_CODES = {"regression": 0, "classification": 1}
 TASK_NAMES = {v: k for k, v in TASK_CODES.items()}
 
 
+def _check_finite(*arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FormatError("NaN or infinite values after ingestion")
+
+
 @dataclass
 class SampleSet:
-    windows: np.ndarray                 # (S, N, T, C) float64
+    """Labeled windows: `source[index]`, or all of `source` when `index` is None.
+
+    Sets of materialized windows (CSV, container, direct construction) have no
+    index, and their `windows` is the array they were given. A turbofan set's
+    source is a sliding-window view of its rows that also holds windows of no
+    sample, so `load_cmapss` checks the rows finite and an indexed set takes its
+    source as checked. `subset` shares the source; only `windows` of an indexed
+    set builds an (S, N, T, C) copy.
+    """
+
+    source: np.ndarray                  # (W, N, T, C) float64
     labels: np.ndarray                  # (S,) float64 (class index for classification)
     task: str
     sensor_names: list[str] = field(default_factory=list)
     norm_stats: dict | None = None      # {"mean": (channels,), "std": (channels,)}
     unit_ids: np.ndarray | None = None  # trajectory id per sample, for a unit-level carve-out
+    index: np.ndarray | None = None     # (S,) source window of each sample
 
     def __post_init__(self):
         if self.task not in TASK_CODES:
             raise ConfigError(f"unknown task {self.task!r}")
-        self.windows = np.asarray(self.windows, dtype=np.float64)
+        self.source = np.asarray(self.source, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.float64).reshape(-1)
-        if self.windows.ndim != 4:
-            raise ConfigError(f"windows must be (S, N, T, C), got {self.windows.shape}")
-        if len(self.labels) != len(self.windows):
+        if self.source.ndim != 4:
+            raise ConfigError(f"windows must be (S, N, T, C), got {self.source.shape}")
+        held = self.source if self.index is None else self.index
+        if len(self.labels) != len(held):
             raise ConfigError("label count does not match window count")
-        if not (np.isfinite(self.windows).all() and np.isfinite(self.labels).all()):
-            raise FormatError("NaN or infinite values after ingestion")
+        _check_finite(self.labels, *(() if self.index is not None else (self.source,)))
         if self.task == "classification" and not (
                 (self.labels >= 0) & (self.labels == np.floor(self.labels))).all():
             raise FormatError("classification labels must be non-negative integers")
 
     def __len__(self) -> int:
-        return len(self.windows)
+        return len(self.labels)
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return self.windows.shape[1:]
+        return self.source.shape[1:]
+
+    @property
+    def windows(self) -> np.ndarray:
+        """(S, N, T, C): the source itself without an index, else a C-contiguous copy."""
+        return self.source if self.index is None else np.ascontiguousarray(self._take())
 
     @property
     def n_classes(self) -> int:
@@ -62,15 +90,23 @@ class SampleSet:
             return 0
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
-    def model_inputs(self) -> np.ndarray:
-        """Fold channels into virtual sensors: (S, N*C, T)."""
-        s, n, t, c = self.windows.shape
-        return self.windows.transpose(0, 1, 3, 2).reshape(s, n * c, t)
+    def _take(self, idx=slice(None)) -> np.ndarray:
+        """The windows of the samples `idx` selects, in whatever layout indexing gives."""
+        return self.source[idx if self.index is None else self.index[idx]]
+
+    def model_inputs(self, idx=slice(None)) -> np.ndarray:
+        """The samples `idx` selects (all by default), channels folded into virtual
+        sensors: (S, N*C, T), C-contiguous."""
+        windows = self._take(idx)
+        s, n, t, c = windows.shape
+        return np.ascontiguousarray(windows.transpose(0, 1, 3, 2).reshape(s, n * c, t))
 
     def subset(self, idx) -> "SampleSet":
-        return SampleSet(self.windows[idx], self.labels[idx], self.task,
-                         self.sensor_names, self.norm_stats,
-                         None if self.unit_ids is None else self.unit_ids[idx])
+        """The samples an integer or boolean `idx` selects, sharing this set's source."""
+        index = np.arange(len(self))[idx] if self.index is None else self.index[idx]
+        return SampleSet(self.source, self.labels[idx], self.task, self.sensor_names,
+                         self.norm_stats, None if self.unit_ids is None else self.unit_ids[idx],
+                         index)
 
 
 # -- turbofan text format -------------------------------------------------
@@ -113,10 +149,11 @@ def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
     capped piecewise-linearly at `rul_cap`. Rows are stable-sorted by unit,
     and each window is named by its end row: in the train split every row
     at least `window - 1` rows after its unit's first row, in the test split
-    each unit's last row (labeled from the ground-truth RUL file). Both
-    splits share one gather: row j of a window is max(end - window + 1 + j,
-    first), so a test trajectory shorter than the window repeats its first
-    cycle.
+    each unit's last row (labeled from the ground-truth RUL file). Row j of a
+    window is max(end - window + 1 + j, first), so a test trajectory shorter
+    than the window repeats its first cycle. The windows are cut from the
+    rows on demand (see `SampleSet`); the train split reads only the
+    training table.
     """
     data_dir = Path(data_dir)
     if split not in ("train", "test"):
@@ -129,15 +166,31 @@ def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
     sensors = train[:, 5:]
     keep = sensors.std(axis=0) > 1e-12
     names = [f"s{i + 1}" for i in range(21) if keep[i]]
-    mean = sensors[:, keep].mean(axis=0)
-    std = sensors[:, keep].std(axis=0)
+    stats = {"mean": sensors[:, keep].mean(axis=0), "std": sensors[:, keep].std(axis=0)}
+    if split == "test":
+        return _cmapss_test(data_dir, subset, window, rul_cap, names, stats)
+    return _cmapss_windows(train, window, rul_cap, names, stats)
 
-    table = train if split == "train" else _read_table(
-        data_dir / f"test_{subset}.txt", CMAPSS_COLUMNS)
+
+def _cmapss_test(data_dir: Path, subset: str, window: int, rul_cap: float, names: list[str],
+                 stats: dict) -> SampleSet:
+    """The test split, normalized as the training split whose `names` and `stats` are given."""
+    data_dir = Path(data_dir)
+    table = _read_table(data_dir / f"test_{subset}.txt", CMAPSS_COLUMNS)
+    return _cmapss_windows(table, window, rul_cap, names, stats, data_dir / f"RUL_{subset}.txt")
+
+
+def _cmapss_windows(table: np.ndarray, window: int, rul_cap: float, names: list[str],
+                    stats: dict, rul_path: Path | None = None) -> SampleSet:
+    """The windows of a turbofan table, as `load_cmapss` describes: the train split's, or
+    with `rul_path` the test split's. The source is a sliding-window view of the normalized
+    rows, each unit's preceded by `window - 1` copies of its first: the window ending at
+    row e of the sorted table, in the unit at position u (both from 0), is source window
+    e + u * (window - 1) and never reaches into the unit before."""
     table = table[np.argsort(table[:, 0], kind="stable")]
     unit_ids, first, counts = np.unique(table[:, 0], return_index=True, return_counts=True)
     last = first + counts - 1
-    if split == "train":
+    if rul_path is None:
         unit = np.repeat(np.arange(len(unit_ids)), counts)  # unit position of each row
         ends = np.flatnonzero(np.arange(len(table)) - first[unit] >= window - 1)
         if not len(ends):
@@ -145,18 +198,20 @@ def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
         unit = unit[ends]
         labels = last[unit] - ends  # 0 at end of life
     else:
-        rul_path = data_dir / f"RUL_{subset}.txt"
         truth = _read_table(rul_path, columns=1)[:, 0]
         if len(truth) < len(unit_ids):
             raise FormatError(
                 f"{rul_path}: {len(truth)} RUL values for {len(unit_ids)} test units")
         unit, ends, labels = np.arange(len(unit_ids)), last, truth[:len(unit_ids)]
 
-    values = (table[:, 5:][:, keep] - mean) / std  # (rows, channels)
-    rows = np.maximum(ends[:, None] + np.arange(1 - window, 1), first[unit][:, None])
-    windows = values[rows[:, None, :], np.arange(values.shape[1])[:, None]]  # (S, N, T)
-    return SampleSet(windows[..., None], np.minimum(rul_cap, labels), "regression", names,
-                     {"mean": mean, "std": std}, unit_ids[unit].astype(int))
+    repeats = np.ones(len(table), dtype=int)
+    repeats[first] = window
+    columns = [4 + int(name[1:]) for name in names]  # sensor s<k> is column 5 + k - 1
+    rows = (np.repeat(table[:, columns], repeats, axis=0) - stats["mean"]) / stats["std"]
+    _check_finite(rows)
+    source = sliding_window_view(rows, window, axis=0)[..., None]  # (W, N, T, 1), read-only
+    return SampleSet(source, np.minimum(rul_cap, labels), "regression", names, stats,
+                     unit_ids[unit].astype(int), ends + unit * (window - 1))
 
 
 # -- generic windowed CSV -------------------------------------------------
@@ -258,13 +313,16 @@ def _record_dtype(n: int, t: int, c: int) -> np.dtype:
 
 
 def save_canonical(path, sset: SampleSet) -> None:
-    s, n, t, c = sset.windows.shape
-    records = np.empty(s, dtype=_record_dtype(n, t, c))
-    records["window"] = sset.windows
-    records["label"] = sset.labels
+    """Write a container, 1024 records at a time, so no copy of every window is built."""
+    n, t, c = sset.shape
     with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, VERSION, s, n, t, c, TASK_CODES[sset.task]))
-        records.tofile(fh)
+        fh.write(HEADER.pack(MAGIC, VERSION, len(sset), n, t, c, TASK_CODES[sset.task]))
+        for lo in range(0, len(sset), 1024):
+            labels = sset.labels[lo:lo + 1024]
+            records = np.empty(len(labels), dtype=_record_dtype(n, t, c))
+            records["window"] = sset._take(slice(lo, lo + 1024))
+            records["label"] = labels
+            records.tofile(fh)
 
 
 def load_canonical(path) -> SampleSet:
@@ -290,4 +348,7 @@ def load_canonical(path) -> SampleSet:
         except ValueError:  # only an empty container can claim such dimensions
             raise FormatError(f"{path}: window shape {(n, t, c)} too large") from None
         records = np.fromfile(fh, dtype=dtype, count=s)
-    return SampleSet(records["window"], records["label"], TASK_NAMES[task_code])
+    try:
+        return SampleSet(records["window"], records["label"], TASK_NAMES[task_code])
+    except FormatError as exc:  # a label or value check
+        raise FormatError(f"{path}: {exc}") from None

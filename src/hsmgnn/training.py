@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
@@ -88,14 +89,33 @@ def classification_metrics(pred: np.ndarray, target: np.ndarray) -> MetricsRepor
 def evaluate(model: HSMGNN, sset: SampleSet, batch_size: int = 64) -> MetricsReport:
     if len(sset) == 0:
         raise ConfigError("cannot evaluate on an empty set")
-    inputs = sset.model_inputs()
     preds = []
     for start in range(0, len(sset), batch_size):
-        preds.append(model.predict(inputs[start:start + batch_size]))
+        preds.append(model.predict(sset.model_inputs(slice(start, start + batch_size))))
     preds = np.concatenate(preds)
     if sset.task == "classification":
         return classification_metrics(preds, sset.labels)
     return regression_metrics(preds, sset.labels)
+
+
+def _keep_freed_memory() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 256 MiB, so that the
+    arrays a training step frees are reused by the next step instead of being returned to
+    the OS; a no-op where the C library has no `mallopt`.
+
+    glibc raises both thresholds by itself only after freeing a large mapped block, which
+    whole-set window copies used to provide. Left alone, the first sessions of the
+    `fd001_train` bench faulted on 3,627 and 2,350 pages per step (`ru_minflt` around each
+    step; a first touch of a 4 KiB page costs about 3 us) and took 35 ms a step instead of
+    27. With these thresholds no session faulted; an mmap threshold of 1 or 4 MiB left
+    `wide_n128` steps faulting on 3,100 to 4,400 pages (2-vCPU Xeon, one BLAS thread).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 
 def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
@@ -108,10 +128,10 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
     if len(train_set) == 0 or len(valid_set) == 0:
         raise ConfigError("empty training or validation set")
     start_time = time.perf_counter()
+    _keep_freed_memory()
     rng = np.random.default_rng(train_cfg.seed)
     model = HSMGNN(model_cfg, seed=train_cfg.seed)
     opt = Adam(model.params, lr=train_cfg.lr)
-    inputs = train_set.model_inputs()
     labels = train_set.labels
     batches = range(0, len(train_set), train_cfg.batch_size)
     n_steps = min(train_cfg.epochs * len(batches), train_cfg.max_steps or np.inf)
@@ -126,7 +146,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
         epoch_losses = []
         for lo in batches[:n_steps - step]:
             idx = order[lo:lo + train_cfg.batch_size]
-            pred = model.forward(inputs[idx])
+            pred = model.forward(train_set.model_inputs(idx))
             loss = model.loss(pred, labels[idx])
             value = float(loss.data)
             if not np.isfinite(value):

@@ -76,6 +76,26 @@ class TestPrepare:
         assert train.task == "regression"
         assert len(test) == 5  # one terminal window per test unit
 
+    def test_cmapss_prepare_parses_each_file_once(self, tmp_path, monkeypatch, capsys):
+        from test_data import write_turbofan_files
+
+        write_turbofan_files(tmp_path)
+        read = D._read_table
+        names = []
+
+        def counted(path, *args, **kwargs):
+            names.append(path.name)
+            return read(path, *args, **kwargs)
+
+        monkeypatch.setattr(D, "_read_table", counted)
+        out = tmp_path / "fd001.mtsd"
+        assert main(["prepare", "--dataset", "cmapss", "--input", str(tmp_path),
+                     "--output", str(out), "--window", "8"]) == 0
+        assert sorted(names) == ["RUL_FD001.txt", "test_FD001.txt", "train_FD001.txt"]
+        for split, path in (("train", out), ("test", tmp_path / "fd001_test.mtsd")):
+            expected = D.load_cmapss(tmp_path, "FD001", window=8, split=split)
+            assert np.array_equal(D.load_canonical(path).windows, expected.windows)
+
     def test_failing_test_split_writes_no_split(self, tmp_path, capsys):
         from test_data import write_turbofan_files
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -197,6 +198,74 @@ class TestTurbofanWindowsMatchLoop:
         assert np.all(np.diff(sset.unit_ids) >= 0)
 
 
+class TestLazyWindows:
+    """Turbofan windows are cut from the rows on demand; `subset` shares the source."""
+
+    def test_load_and_carve_build_no_window_tensor(self, tmp_path):
+        write_turbofan_files(tmp_path, n_units=20, min_len=60)
+        tracemalloc.start()
+        try:
+            sset = D.load_cmapss(tmp_path, "FD001", window=30)
+            D.carve_validation(sset, 0.1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        s, n, t, c = sset.windows.shape
+        assert peak < s * n * t * c * 8
+
+    @staticmethod
+    def sets(tmp_path):
+        write_turbofan_files(tmp_path)
+        lazy = D.load_cmapss(tmp_path, "FD001", window=8)
+        windows = lazy.windows
+        plain = D.SampleSet(windows, lazy.labels, lazy.task, unit_ids=lazy.unit_ids)
+        assert lazy.index is not None and plain.index is None
+        assert plain.windows is windows  # a set of given windows keeps the array
+        return lazy, plain
+
+    def test_subset_shares_the_source(self, tmp_path):
+        for sset in self.sets(tmp_path):
+            rng = np.random.default_rng(0)
+            for idx in (rng.permutation(len(sset))[:7], rng.random(len(sset)) < 0.3):
+                part = sset.subset(idx)
+                assert part.source is sset.source
+                assert np.array_equal(part.windows, sset.windows[idx])
+                assert np.array_equal(part.labels, sset.labels[idx])
+                assert np.array_equal(part.unit_ids, sset.unit_ids[idx])
+                again = part.subset(np.array([4, 0, 2]))  # indices compose
+                assert again.source is sset.source
+                assert np.array_equal(again.windows, sset.windows[idx][[4, 0, 2]])
+
+    def test_model_inputs_gathers_the_selection(self, tmp_path):
+        for sset in self.sets(tmp_path):
+            every = sset.model_inputs()
+            mask = np.arange(len(sset)) % 3 == 1
+            for idx in (np.array([5, 1, 1, 9]), slice(3, 11), slice(None, None, 4), mask):
+                got = sset.model_inputs(idx)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, every[idx])
+
+    def test_container_bytes_do_not_depend_on_the_storage(self, tmp_path):
+        write_turbofan_files(tmp_path, n_units=20, min_len=60)  # over 1,024 windows
+        lazy = D.load_cmapss(tmp_path, "FD001", window=2)
+        plain = D.SampleSet(lazy.windows, lazy.labels, lazy.task)
+        assert len(lazy) > 1024
+        for name, sset in (("lazy.mtsd", lazy.subset(slice(1, None))),
+                           ("plain.mtsd", plain.subset(slice(1, None)))):
+            D.save_canonical(tmp_path / name, sset)
+        assert (tmp_path / "lazy.mtsd").read_bytes() == (tmp_path / "plain.mtsd").read_bytes()
+        assert np.array_equal(D.load_canonical(tmp_path / "lazy.mtsd").windows,
+                              lazy.windows[1:])
+
+    def test_train_split_reads_only_the_training_table(self, tmp_path):
+        write_turbofan_files(tmp_path)
+        expected = D.load_cmapss(tmp_path, "FD001", window=8)
+        (tmp_path / "test_FD001.txt").unlink()
+        (tmp_path / "RUL_FD001.txt").unlink()
+        assert np.array_equal(D.load_cmapss(tmp_path, "FD001", window=8).windows,
+                              expected.windows)
+
+
 class TestCsvLoader:
     def test_toy_two_sensor_window(self, tmp_path):
         path = tmp_path / "toy.csv"
@@ -389,6 +458,19 @@ class TestCanonicalContainer:
         windows[0, 0, 0, 0] = np.nan
         with pytest.raises(FormatError):
             D.SampleSet(windows, np.zeros(1), "regression")
+
+    @pytest.mark.parametrize("label,value,message", [
+        (-1.0, 0.0, "classification labels must be non-negative integers"),
+        (1.0, np.inf, "NaN or infinite values after ingestion"),
+    ])
+    def test_value_errors_name_the_file(self, tmp_path, label, value, message):
+        sset = D.SampleSet(np.zeros((2, 2, 3, 1)), np.zeros(2), "classification")
+        sset.labels[1], sset.windows[1, 0, 2, 0] = label, value  # after the checks
+        path = tmp_path / "bad.mtsd"
+        D.save_canonical(path, sset)
+        with pytest.raises(FormatError) as info:
+            D.load_canonical(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_infinite_window_rejected_on_load(self, tmp_path):
         sset = D.SampleSet(np.zeros((2, 2, 3, 1)), np.zeros(2), "regression")

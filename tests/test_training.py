@@ -4,7 +4,7 @@ import pytest
 from hsmgnn import HSMGNN, ModelConfig, TrainConfig, ablate, evaluate, sweep, train
 from hsmgnn import VARIANTS, training
 from hsmgnn import tensor as T
-from hsmgnn.data import SampleSet
+from hsmgnn.data import SampleSet, carve_validation, load_cmapss
 from hsmgnn.errors import ConfigError
 
 
@@ -116,6 +116,38 @@ class TestTrainLoop:
         model, report = train(cfg, tc, sset, sset)
         assert report.task == "classification"
         assert 0.0 <= report.accu <= 1.0
+
+
+class TestLazySets:
+    def test_lazy_and_materialized_sets_train_alike(self, tmp_path):
+        from test_data import write_turbofan_files
+
+        write_turbofan_files(tmp_path)
+        lazy = load_cmapss(tmp_path, "FD001", window=8)
+        plain = SampleSet(lazy.windows, lazy.labels, lazy.task, unit_ids=lazy.unit_ids)
+        cfg = tiny_cfg(n=20, t=8)
+        tc = TrainConfig(batch_size=8, epochs=2, patience=5, seed=4)
+        outcomes = []
+        for sset in (lazy, plain):
+            fit, valid = carve_validation(sset, 0.2, seed=1)
+            assert fit.source is valid.source is sset.source
+            model, report = train(cfg, tc, fit, valid)
+            model.save(tmp_path / "model.hsmg")
+            outcomes.append(({**report.to_dict(), "wall_clock": None},
+                             (tmp_path / "model.hsmg").read_bytes(),
+                             evaluate(model, fit).to_dict()))
+        assert outcomes[0] == outcomes[1]
+
+    def test_train_runs_without_mallopt(self, monkeypatch):
+        import ctypes
+
+        def missing(*args, **kwargs):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        sset = synthetic_set()
+        _, report = train(tiny_cfg(), TrainConfig(batch_size=8, epochs=1), sset, sset)
+        assert np.isfinite(report.rmse)
 
 
 class TestAblation:

@@ -11,6 +11,9 @@ windows it holds. A turbofan set's source is a read-only sliding-window view
 of its normalized rows, so overlapping windows share their rows: from text to
 a trained model nothing builds an (S, N, T, C) array, since `subset` composes
 indices over the same source and `model_inputs` gathers one batch at a time.
+The container stores those rows and each sample's window start and unit id,
+and a set read from it is built as `load_cmapss` builds its set, so a
+prepared set keeps its units for the validation carve-out.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, FormatError
 
 MAGIC = b"MTSD"
-VERSION = 1
+VERSION = 2
 TASK_CODES = {"regression": 0, "classification": 1}
 TASK_NAMES = {v: k for k, v in TASK_CODES.items()}
 
@@ -41,12 +44,13 @@ def _check_finite(*arrays) -> None:
 class SampleSet:
     """Labeled windows: `source[index]`, or all of `source` when `index` is None.
 
-    Sets of materialized windows (CSV, container, direct construction) have no
-    index, and their `windows` is the array they were given. A turbofan set's
-    source is a sliding-window view of its rows that also holds windows of no
-    sample, so `load_cmapss` checks the rows finite and an indexed set takes its
-    source as checked. `subset` shares the source; only `windows` of an indexed
-    set builds an (S, N, T, C) copy.
+    Sets of materialized windows (CSV, version 1 container, direct construction)
+    have no index, and their `windows` is the array they were given. Turbofan
+    sets and sets read from a version 2 container come from `_windowed_set`:
+    their source is a sliding-window view of a row table that also holds windows
+    of no sample, so the rows are checked finite there and an indexed set takes
+    its source as checked. `subset` shares the source; only `windows` of an
+    indexed set builds an (S, N, T, C) copy.
     """
 
     source: np.ndarray                  # (W, N, T, C) float64
@@ -208,10 +212,26 @@ def _cmapss_windows(table: np.ndarray, window: int, rul_cap: float, names: list[
     repeats[first] = window
     columns = [4 + int(name[1:]) for name in names]  # sensor s<k> is column 5 + k - 1
     rows = (np.repeat(table[:, columns], repeats, axis=0) - stats["mean"]) / stats["std"]
+    return _windowed_set(rows[..., None], window, ends + unit * (window - 1),
+                         np.minimum(rul_cap, labels), "regression",
+                         unit_ids[unit].astype(np.int64), names, stats)
+
+
+def _windowed_set(rows: np.ndarray, t: int, starts: np.ndarray, labels: np.ndarray, task: str,
+                  unit_ids: np.ndarray | None = None, names: list[str] | None = None,
+                  stats: dict | None = None) -> SampleSet:
+    """The set whose sample i is the `t` rows of the (R, N, C) table `rows` from `starts[i]`.
+
+    Its source is a read-only (W, N, t, C) view whose window k holds rows k..k+t-1, so
+    overlapping windows share their rows; the rows, not the windows, are checked finite.
+    An empty set may hold fewer than `t` rows, and then W is 0.
+    """
     _check_finite(rows)
-    source = sliding_window_view(rows, window, axis=0)[..., None]  # (W, N, T, 1), read-only
-    return SampleSet(source, np.minimum(rul_cap, labels), "regression", names, stats,
-                     unit_ids[unit].astype(int), ends + unit * (window - 1))
+    r, n, c = rows.shape
+    step, sensor, channel = rows.strides
+    source = as_strided(rows, (max(r - t + 1, 0), n, t, c), (step, sensor, step, channel),
+                        writeable=False)
+    return SampleSet(source, labels, task, names or [], stats, unit_ids, starts)
 
 
 # -- generic windowed CSV -------------------------------------------------
@@ -302,53 +322,107 @@ def carve_validation(sset: SampleSet, valid_frac: float = 0.1,
 
 # -- canonical binary container ------------------------------------------
 #
-# Layout (little-endian): magic b"MTSD", u32 version, u32 S, N, T, C, u8 task
-# code (25 bytes), then S records of an (N, T, C) f64 window and an f64 label.
+# Layout, version 2 (little-endian): magic b"MTSD", u32 version, u32 S, R, N, T, C, u8 task
+# code (29 bytes); then R rows of an (N, C) f64 table; then S records of an f64 label, the
+# u64 row where the sample's window starts (its T rows are start..start+T-1) and the i64
+# unit id, -1 in every record of a set without unit ids. Version 1, still read, has no R:
+# after its 25-byte header come S records of an (N, T, C) f64 window and an f64 label.
 
-HEADER = struct.Struct("<4sIIIIIB")
-
-
-def _record_dtype(n: int, t: int, c: int) -> np.dtype:
-    return np.dtype([("window", "<f8", (n, t, c)), ("label", "<f8")])
+HEADER = struct.Struct("<4sIIIIIIB")
+HEADER_V1 = struct.Struct("<4sIIIIIB")
+RECORD = np.dtype([("label", "<f8"), ("start", "<u8"), ("unit", "<i8")])
 
 
 def save_canonical(path, sset: SampleSet) -> None:
-    """Write a container, 1024 records at a time, so no copy of every window is built."""
+    """Write a version 2 container. A source whose windows step one row at a time (as
+    `_windowed_set` builds) gives the rows its samples' windows cover, in table order; other
+    windows are stored end to end, sample k's from row k * T, 1024 at a time, so no copy of
+    every window is built."""
+    if sset.unit_ids is not None and (sset.unit_ids == -1).any():
+        raise ConfigError("unit id -1 marks a sample of no unit in a container")
     n, t, c = sset.shape
+    source, s = sset.source, len(sset)
+    if source.strides[0] == source.strides[2]:  # window k + 1 starts at step 1 of window k
+        rows, starts = _covered_rows(source, np.arange(s) if sset.index is None else sset.index)
+        blocks, r = [rows], len(rows)
+    else:
+        blocks = (sset._take(slice(lo, lo + 1024)).transpose(0, 2, 1, 3)
+                  for lo in range(0, s, 1024))
+        starts, r = np.arange(s) * t, s * t
+    records = np.empty(s, dtype=RECORD)
+    records["label"], records["start"] = sset.labels, starts
+    records["unit"] = -1 if sset.unit_ids is None else sset.unit_ids
     with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, VERSION, len(sset), n, t, c, TASK_CODES[sset.task]))
-        for lo in range(0, len(sset), 1024):
-            labels = sset.labels[lo:lo + 1024]
-            records = np.empty(len(labels), dtype=_record_dtype(n, t, c))
-            records["window"] = sset._take(slice(lo, lo + 1024))
-            records["label"] = labels
-            records.tofile(fh)
+        fh.write(HEADER.pack(MAGIC, VERSION, s, r, n, t, c, TASK_CODES[sset.task]))
+        for block in blocks:
+            np.ascontiguousarray(block).tofile(fh)
+        records.tofile(fh)
+
+
+def _covered_rows(source: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (R, N, C) rows of a sliding-window `source` that its windows at `starts` cover, in
+    table order, and each window's start among them."""
+    w, _, t, _ = source.shape
+    depth = np.cumsum(np.bincount(starts, minlength=w + t)
+                      - np.bincount(starts + t, minlength=w + t))  # windows over each row
+    covered = np.flatnonzero(depth)
+    window = np.minimum(covered, w - 1)  # row r is step r - k of window k
+    return source[window, :, covered - window, :], np.searchsorted(covered, starts)
 
 
 def load_canonical(path) -> SampleSet:
-    """Read a container with one structured read; windows and labels are views."""
+    """Read a container of either version; a FormatError names the file. A version 2 set
+    is `_windowed_set` of the stored rows, as `load_cmapss` builds its set, with the unit
+    ids the file holds; a version 1 set views one record array and has no index."""
     path = Path(path)
     with open(path, "rb") as fh:  # a missing file raises FileNotFoundError, an IOError
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(HEADER.size)
         if head[:4] != MAGIC:
             raise FormatError(f"{path}: bad magic {head[:4]!r}")
-        if len(head) < HEADER.size:
+        if len(head) < 8:
             raise FormatError(f"{path}: header truncated at {len(head)} bytes")
-        _, version, s, n, t, c, task_code = HEADER.unpack(head)
-        if version != VERSION:
+        version = int.from_bytes(head[4:8], "little")
+        if version not in (1, VERSION):
             raise FormatError(f"{path}: unsupported version {version}")
+        header = HEADER_V1 if version == 1 else HEADER
+        if len(head) < header.size:
+            raise FormatError(f"{path}: header truncated at {len(head)} bytes")
+        *dims, task_code = header.unpack(head[:header.size])[2:]
         if task_code not in TASK_NAMES:
             raise FormatError(f"{path}: unknown task code {task_code}")
-        expected = HEADER.size + s * (n * t * c + 1) * 8
-        if size != expected:
-            raise FormatError(f"{path}: size {size} != expected {expected}")
+        fh.seek(header.size)
         try:
-            dtype = _record_dtype(n, t, c)
-        except ValueError:  # only an empty container can claim such dimensions
-            raise FormatError(f"{path}: window shape {(n, t, c)} too large") from None
-        records = np.fromfile(fh, dtype=dtype, count=s)
+            return (_read_v1 if version == 1 else _read_v2)(fh, size, TASK_NAMES[task_code],
+                                                            *dims)
+        except FormatError as exc:  # a size, window, unit id or value check
+            raise FormatError(f"{path}: {exc}") from None
+
+
+def _read_v1(fh, size: int, task: str, s: int, n: int, t: int, c: int) -> SampleSet:
+    """The records after a version 1 header, with one structured read."""
+    expected = HEADER_V1.size + s * (n * t * c + 1) * 8
+    if size != expected:
+        raise FormatError(f"size {size} != expected {expected}")
     try:
-        return SampleSet(records["window"], records["label"], TASK_NAMES[task_code])
-    except FormatError as exc:  # a label or value check
-        raise FormatError(f"{path}: {exc}") from None
+        dtype = np.dtype([("window", "<f8", (n, t, c)), ("label", "<f8")])
+    except ValueError:  # only an empty container can claim such dimensions
+        raise FormatError(f"window shape {(n, t, c)} too large") from None
+    records = np.fromfile(fh, dtype=dtype, count=s)
+    return SampleSet(records["window"], records["label"], task)
+
+
+def _read_v2(fh, size: int, task: str, s: int, r: int, n: int, t: int, c: int) -> SampleSet:
+    """The rows and records after a version 2 header."""
+    expected = HEADER.size + r * n * c * 8 + s * RECORD.itemsize
+    if size != expected:
+        raise FormatError(f"size {size} != expected {expected}")
+    rows = np.fromfile(fh, dtype="<f8", count=r * n * c).reshape(r, n, c)
+    records = np.fromfile(fh, dtype=RECORD, count=s)
+    if s and (t > r or int(records["start"].max()) > r - t):
+        raise FormatError(f"a window of {t} rows runs past row {r}")
+    none = records["unit"] == -1
+    if none.any() and not none.all():
+        raise FormatError("unit ids mix -1 (no unit) with real ids")
+    return _windowed_set(rows, t, records["start"].astype(np.int64), records["label"], task,
+                         None if none.all() else records["unit"].astype(np.int64))

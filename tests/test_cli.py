@@ -96,6 +96,20 @@ class TestPrepare:
             expected = D.load_cmapss(tmp_path, "FD001", window=8, split=split)
             assert np.array_equal(D.load_canonical(path).windows, expected.windows)
 
+    def test_prepared_turbofan_carves_validation_by_unit(self, tmp_path, capsys):
+        from test_data import write_turbofan_files
+
+        write_turbofan_files(tmp_path, n_units=10)
+        out = tmp_path / "fd001.mtsd"
+        assert main(["prepare", "--dataset", "cmapss", "--input", str(tmp_path),
+                     "--output", str(out), "--window", "8"]) == 0
+        loaded = D.load_canonical(out)
+        assert np.array_equal(loaded.unit_ids,
+                              D.load_cmapss(tmp_path, "FD001", window=8).unit_ids)
+        train, valid = D.carve_validation(loaded, 0.2, seed=0)
+        assert len(np.unique(valid.unit_ids)) == 2
+        assert not set(valid.unit_ids) & set(train.unit_ids)
+
     def test_failing_test_split_writes_no_split(self, tmp_path, capsys):
         from test_data import write_turbofan_files
 

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from hsmgnn import data as D
+from hsmgnn.cli import main
 from hsmgnn.errors import ConfigError, FormatError
 
 
@@ -245,7 +247,8 @@ class TestLazyWindows:
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, every[idx])
 
-    def test_container_bytes_do_not_depend_on_the_storage(self, tmp_path):
+    def test_container_windows_do_not_depend_on_the_storage(self, tmp_path):
+        # shared rows are stored once, separate windows end to end: the bytes differ
         write_turbofan_files(tmp_path, n_units=20, min_len=60)  # over 1,024 windows
         lazy = D.load_cmapss(tmp_path, "FD001", window=2)
         plain = D.SampleSet(lazy.windows, lazy.labels, lazy.task)
@@ -253,9 +256,13 @@ class TestLazyWindows:
         for name, sset in (("lazy.mtsd", lazy.subset(slice(1, None))),
                            ("plain.mtsd", plain.subset(slice(1, None)))):
             D.save_canonical(tmp_path / name, sset)
-        assert (tmp_path / "lazy.mtsd").read_bytes() == (tmp_path / "plain.mtsd").read_bytes()
-        assert np.array_equal(D.load_canonical(tmp_path / "lazy.mtsd").windows,
-                              lazy.windows[1:])
+            loaded = D.load_canonical(tmp_path / name)
+            assert loaded.windows.tobytes() == lazy.windows[1:].tobytes()
+            assert np.array_equal(loaded.labels, lazy.labels[1:])
+        rows = len(lazy) + 20 - 1  # a unit has a row more than windows; the cut one's first
+        sizes = [(tmp_path / name).stat().st_size for name in ("lazy.mtsd", "plain.mtsd")]
+        assert sizes == [D.HEADER.size + rows * 20 * 8 + (len(lazy) - 1) * D.RECORD.itemsize,
+                         D.HEADER.size + (len(lazy) - 1) * (2 * 20 * 8 + D.RECORD.itemsize)]
 
     def test_train_split_reads_only_the_training_table(self, tmp_path):
         write_turbofan_files(tmp_path)
@@ -423,10 +430,11 @@ class TestCanonicalContainer:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_size_law(self, tmp_path):
+        # separate windows are stored end to end: S * T rows of (N, C), then S records
         sset = D.SampleSet(np.zeros((4, 3, 5, 2)), np.zeros(4), "classification")
         path = tmp_path / "c.mtsd"
         D.save_canonical(path, sset)
-        assert path.stat().st_size == 25 + 4 * (3 * 5 * 2 + 1) * 8
+        assert path.stat().st_size == 29 + 4 * 5 * (3 * 2) * 8 + 4 * (8 + 8 + 8)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.mtsd"
@@ -444,6 +452,7 @@ class TestCanonicalContainer:
                 D.load_canonical(path)
 
     def test_windows_and_labels_view_one_record_array(self, tmp_path):
+        # version 2: every window views one read-only row table, sample k's from row k * T
         rng = np.random.default_rng(2)
         sset = D.SampleSet(rng.normal(size=(3, 2, 4, 2)), rng.normal(size=3), "regression")
         path = tmp_path / "v.mtsd"
@@ -451,7 +460,10 @@ class TestCanonicalContainer:
         loaded = D.load_canonical(path)
         assert np.array_equal(loaded.windows, sset.windows)
         assert np.array_equal(loaded.labels, sset.labels)
-        assert np.may_share_memory(loaded.windows, loaded.labels)
+        assert np.array_equal(loaded.index, [0, 4, 8]) and loaded.unit_ids is None
+        assert not loaded.source.flags.writeable
+        assert np.shares_memory(loaded.source[0], loaded.source[1])
+        assert len(loaded.source) == 3 * 4 - 4 + 1
 
     def test_nan_rejected(self):
         windows = np.zeros((1, 2, 2, 1))
@@ -479,3 +491,126 @@ class TestCanonicalContainer:
         D.save_canonical(path, sset)
         with pytest.raises(FormatError):
             D.load_canonical(path)
+
+
+def v2_parts(raw: bytearray):
+    """Writable views of a version 2 container's header dimensions, rows and records."""
+    s, r, n, t, c = struct.unpack_from("<5I", raw, 8)
+    rows = np.frombuffer(raw, "<f8", r * n * c, D.HEADER.size)
+    records = np.frombuffer(raw, D.RECORD, s, D.HEADER.size + rows.nbytes)
+    return (s, r, n, t, c), rows, records
+
+
+def v1_bytes(windows, labels, task_code=0) -> bytes:
+    """A version 1 container: a 25-byte header, then a window and a label per sample."""
+    s, n, t, c = windows.shape
+    records = np.empty(s, [("window", "<f8", (n, t, c)), ("label", "<f8")])
+    records["window"], records["label"] = windows, labels
+    return struct.pack("<4sIIIIIB", b"MTSD", 1, s, n, t, c, task_code) + records.tobytes()
+
+
+def every_kind_of_set(tmp_path) -> dict:
+    """A turbofan train and test split (one test unit shorter than the window), a CSV set
+    and a set built from an array."""
+    write_turbofan_files(tmp_path)
+    csv = tmp_path / "toy.csv"
+    rng = np.random.default_rng(4)
+    csv.write_text("a,b,label\n" + "".join(f"{rng.normal()},{rng.normal()},{rng.normal()}\n"
+                                           for _ in range(12)))
+    return {
+        "train": D.load_cmapss(tmp_path, "FD001", window=8),
+        "test": D.load_cmapss(tmp_path, "FD001", window=14, split="test"),
+        "csv": D.load_csv(csv, window=3),
+        "direct": D.SampleSet(rng.normal(size=(5, 3, 4, 2)), rng.normal(size=5), "regression"),
+    }
+
+
+class TestContainerRows:
+    """Version 2 stores the rows a set's windows cover and one window start per sample."""
+
+    @pytest.mark.parametrize("kind", ["train", "test", "csv", "direct"])
+    def test_load_save_is_byte_identical_and_windows_exact(self, tmp_path, kind):
+        sset = every_kind_of_set(tmp_path)[kind]
+        first, again = tmp_path / "a.mtsd", tmp_path / "b.mtsd"
+        D.save_canonical(first, sset)
+        loaded = D.load_canonical(first)
+        D.save_canonical(again, loaded)
+        assert first.read_bytes() == again.read_bytes()
+        assert loaded.windows.tobytes() == sset.windows.tobytes()
+        assert loaded.labels.tobytes() == sset.labels.tobytes()
+        assert loaded.task == sset.task
+        if sset.unit_ids is None:
+            assert loaded.unit_ids is None
+        else:
+            assert np.array_equal(loaded.unit_ids, sset.unit_ids)
+
+    def test_container_holds_the_rows_its_windows_cover(self, tmp_path):
+        sets = every_kind_of_set(tmp_path)
+        lengths = trajectory_lengths(tmp_path / "test_FD001.txt")
+        assert lengths.min() < 14  # a test unit is padded to the window
+        expected = {"train": trajectory_lengths(tmp_path / "train_FD001.txt").sum(),
+                    "test": 5 * 14, "csv": 12, "direct": 5 * 4}
+        for kind, sset in sets.items():
+            path = tmp_path / f"{kind}.mtsd"
+            D.save_canonical(path, sset)
+            (s, r, n, t, c), _, records = v2_parts(bytearray(path.read_bytes()))
+            assert (s, r) == (len(sset), expected[kind])
+            if kind != "train":  # separate windows are stored end to end
+                assert np.array_equal(records["start"], np.arange(s) * t)
+
+    def test_version_1_files_still_load(self, tmp_path):
+        rng = np.random.default_rng(5)
+        windows, labels = rng.normal(size=(4, 3, 5, 2)), np.array([0.0, 2.0, 1.0, 2.0])
+        path = tmp_path / "v1.mtsd"
+        for code, task in ((0, "regression"), (1, "classification")):
+            path.write_bytes(v1_bytes(windows, labels, code))
+            loaded = D.load_canonical(path)
+            assert loaded.windows.tobytes() == windows.tobytes()
+            assert loaded.labels.tobytes() == labels.tobytes()
+            assert (loaded.task, loaded.index, loaded.unit_ids) == (task, None, None)
+        path.write_bytes(v1_bytes(windows, labels)[:-1])
+        with pytest.raises(FormatError, match=f"{path}: size"):
+            D.load_canonical(path)
+
+    def test_unit_id_minus_one_is_refused(self, tmp_path):
+        sset = D.SampleSet(np.zeros((2, 2, 3, 1)), np.zeros(2), "regression",
+                           unit_ids=np.array([-1, 2]))
+        with pytest.raises(ConfigError, match="unit id -1"):
+            D.save_canonical(tmp_path / "u.mtsd", sset)
+        assert not (tmp_path / "u.mtsd").exists()
+
+    @staticmethod
+    def corrupt(raw: bytearray, fault: str) -> None:
+        (s, r, n, t, c), rows, records = v2_parts(raw)
+        if fault == "start":
+            records["start"][3] = r - t + 1
+        elif fault in "SRNTC":
+            field = 8 + 4 * "SRNTC".index(fault)
+            struct.pack_into("<I", raw, field, struct.unpack_from("<I", raw, field)[0] + 1)
+        elif fault == "units":
+            records["unit"][-1] = -1
+        elif fault == "row":
+            rows[7] = np.nan
+        else:
+            records["label"][2] = np.inf
+
+    @pytest.mark.parametrize("fault,message", [
+        ("start", "a window of 8 rows runs past row"),
+        ("S", "size"), ("R", "size"), ("N", "size"), ("C", "size"),
+        ("T", "a window of 9 rows runs past row"),  # the size does not depend on T
+        ("units", "unit ids mix -1 (no unit) with real ids"),
+        ("row", "NaN or infinite values after ingestion"),
+        ("label", "NaN or infinite values after ingestion"),
+    ])
+    def test_corrupt_container_names_the_file_and_exits_two(self, tmp_path, capsys, fault,
+                                                              message):
+        path = tmp_path / "fd001.mtsd"
+        D.save_canonical(path, every_kind_of_set(tmp_path)["train"])
+        raw = bytearray(path.read_bytes())
+        self.corrupt(raw, fault)
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=f"^{path}: ") as info:
+            D.load_canonical(path)
+        assert message in str(info.value)
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"

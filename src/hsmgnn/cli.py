@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import data as D
 from . import training
+from .checkpoint import load_checkpoint
 from .errors import ConfigError, ContractError, FormatError, NumericsError, ShapeError
 from .model import HSMGNN, ModelConfig, VARIANTS
 from .training import MetricsReport, TrainConfig
@@ -56,15 +57,16 @@ def load_run_config(path: str | None, overrides: list[str], seed: int | None) ->
     return cfg
 
 
-def build_configs(args) -> tuple[D.SampleSet, ModelConfig, TrainConfig]:
+def build_configs(args, n_classes: int = 0) -> tuple[D.SampleSet, ModelConfig, TrainConfig]:
     """The --data set and the resolved model and train configs of a run command. `n_classes`
-    defaults to the set's class count, or 1 for regression, and must fit the set."""
+    defaults to the given count, else the set's class count or 1 for regression, and must
+    fit the set."""
     cfg = load_run_config(args.config, args.set, args.seed)
     sset = D.load_canonical(args.data)
     n, t, c = sset.shape
     model_kwargs = {k: v for k, v in cfg.items() if k in MODEL_KEYS}
     classify = sset.task == "classification"
-    model_kwargs.setdefault("n_classes", sset.n_classes if classify else 1)
+    model_kwargs.setdefault("n_classes", n_classes or (sset.n_classes if classify else 1))
     model_cfg = ModelConfig(n=n * c, t=t, **model_kwargs)
     if (model_cfg.n_classes > 1) != classify or model_cfg.n_classes < sset.n_classes:
         need = f">= {max(2, sset.n_classes)}" if classify else "1"
@@ -138,9 +140,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    sset, model_cfg, train_cfg = build_configs(args)
+    """The head's width, not the evaluated set's labels, sets the default class count."""
+    state = load_checkpoint(args.checkpoint)
+    head = state.get("mlp.b4")
+    sset, model_cfg, train_cfg = build_configs(args, 0 if head is None else head.size)
     model = HSMGNN(model_cfg, seed=train_cfg.seed)
-    model.load(args.checkpoint)
+    model.load_state_dict(state)
     report = training.evaluate(model, sset)
     return write_outputs(Path(args.out), model_cfg, train_cfg, {"checkpoint": args.checkpoint},
                          [{"split": "eval", **report.to_dict()}], "eval {name}: {metric:.6f}")

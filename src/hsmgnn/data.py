@@ -6,14 +6,15 @@ columns) for RUL regression, and a generic windowed CSV for either task.
 Both produce a `SampleSet`, which can be written to and read from a
 canonical binary container byte-exactly.
 
-A `SampleSet` holds a source array of windows and an optional index of the
-windows it holds. A turbofan set's source is a read-only sliding-window view
-of its normalized rows, so overlapping windows share their rows: from text to
-a trained model nothing builds an (S, N, T, C) array, since `subset` composes
-indices over the same source and `model_inputs` gathers one batch at a time.
-The container stores those rows and each sample's window start and unit id,
-and a set read from it is built as `load_cmapss` builds its set, so a
-prepared set keeps its units for the validation carve-out.
+Every `SampleSet` holds a read-only sliding-window view of a row table and the
+start of each sample's window in it, so overlapping windows share their rows: a
+turbofan set views its normalized rows, and windows given whole are laid end to
+end as rows once, at construction. From text to a trained model nothing builds an
+(S, N, T, C) array, since `subset` composes indices over the same source and
+`model_inputs` gathers one batch at a time. The container stores the rows a set's
+windows cover and each sample's window start and unit id, and a set read from it
+views those rows as `load_cmapss` views its own, so a prepared set keeps its units
+for the validation carve-out.
 """
 
 from __future__ import annotations
@@ -42,15 +43,15 @@ def _check_finite(*arrays) -> None:
 
 @dataclass
 class SampleSet:
-    """Labeled windows: `source[index]`, or all of `source` when `index` is None.
+    """Labeled windows: sample i is `source[index[i]]`.
 
-    Sets of materialized windows (CSV, version 1 container, direct construction)
-    have no index, and their `windows` is the array they were given. Turbofan
-    sets and sets read from a version 2 container come from `_windowed_set`:
-    their source is a sliding-window view of a row table that also holds windows
-    of no sample, so the rows are checked finite there and an indexed set takes
-    its source as checked. `subset` shares the source; only `windows` of an
-    indexed set builds an (S, N, T, C) copy.
+    After construction the source is always a read-only (W, N, T, C) view whose
+    window k holds rows k..k+T-1 of a finite-checked row table (`_sliding_windows`),
+    and `index` holds each sample's window start. Windows given without an index, or
+    a source whose windows do not step one row at a time, are laid end to end as an
+    (S*T, N, C) row table (a reshape view when the rows are already in that order,
+    else one copy) and sample k starts at row k*T. `subset` shares the source; only
+    `windows` builds an (S, N, T, C) copy.
     """
 
     source: np.ndarray                  # (W, N, T, C) float64
@@ -68,10 +69,14 @@ class SampleSet:
         self.labels = np.asarray(self.labels, dtype=np.float64).reshape(-1)
         if self.source.ndim != 4:
             raise ConfigError(f"windows must be (S, N, T, C), got {self.source.shape}")
-        held = self.source if self.index is None else self.index
-        if len(self.labels) != len(held):
+        if self.index is None or self.source.strides[0] != self.source.strides[2]:
+            windows = self.source if self.index is None else self.source[self.index]
+            s, n, t, c = windows.shape
+            self.source = _sliding_windows(windows.transpose(0, 2, 1, 3).reshape(s * t, n, c), t)
+            self.index = np.arange(s) * t
+        if len(self.labels) != len(self.index):
             raise ConfigError("label count does not match window count")
-        _check_finite(self.labels, *(() if self.index is not None else (self.source,)))
+        _check_finite(self.labels)
         if self.task == "classification" and not (
                 (self.labels >= 0) & (self.labels == np.floor(self.labels))).all():
             raise FormatError("classification labels must be non-negative integers")
@@ -85,8 +90,8 @@ class SampleSet:
 
     @property
     def windows(self) -> np.ndarray:
-        """(S, N, T, C): the source itself without an index, else a C-contiguous copy."""
-        return self.source if self.index is None else np.ascontiguousarray(self._take())
+        """(S, N, T, C): a C-contiguous copy of every sample's window."""
+        return np.ascontiguousarray(self.source[self.index])
 
     @property
     def n_classes(self) -> int:
@@ -94,23 +99,18 @@ class SampleSet:
             return 0
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
-    def _take(self, idx=slice(None)) -> np.ndarray:
-        """The windows of the samples `idx` selects, in whatever layout indexing gives."""
-        return self.source[idx if self.index is None else self.index[idx]]
-
     def model_inputs(self, idx=slice(None)) -> np.ndarray:
         """The samples `idx` selects (all by default), channels folded into virtual
         sensors: (S, N*C, T), C-contiguous."""
-        windows = self._take(idx)
+        windows = self.source[self.index[idx]]
         s, n, t, c = windows.shape
         return np.ascontiguousarray(windows.transpose(0, 1, 3, 2).reshape(s, n * c, t))
 
     def subset(self, idx) -> "SampleSet":
         """The samples an integer or boolean `idx` selects, sharing this set's source."""
-        index = np.arange(len(self))[idx] if self.index is None else self.index[idx]
         return SampleSet(self.source, self.labels[idx], self.task, self.sensor_names,
                          self.norm_stats, None if self.unit_ids is None else self.unit_ids[idx],
-                         index)
+                         self.index[idx])
 
 
 # -- turbofan text format -------------------------------------------------
@@ -203,35 +203,29 @@ def _cmapss_windows(table: np.ndarray, window: int, rul_cap: float, names: list[
         labels = last[unit] - ends  # 0 at end of life
     else:
         truth = _read_table(rul_path, columns=1)[:, 0]
-        if len(truth) < len(unit_ids):
+        if len(truth) != len(unit_ids):
             raise FormatError(
                 f"{rul_path}: {len(truth)} RUL values for {len(unit_ids)} test units")
-        unit, ends, labels = np.arange(len(unit_ids)), last, truth[:len(unit_ids)]
+        unit, ends, labels = np.arange(len(unit_ids)), last, truth
 
     repeats = np.ones(len(table), dtype=int)
     repeats[first] = window
     columns = [4 + int(name[1:]) for name in names]  # sensor s<k> is column 5 + k - 1
     rows = (np.repeat(table[:, columns], repeats, axis=0) - stats["mean"]) / stats["std"]
-    return _windowed_set(rows[..., None], window, ends + unit * (window - 1),
-                         np.minimum(rul_cap, labels), "regression",
-                         unit_ids[unit].astype(np.int64), names, stats)
+    return SampleSet(_sliding_windows(rows[..., None], window), np.minimum(rul_cap, labels),
+                     "regression", names, stats, unit_ids[unit].astype(np.int64),
+                     ends + unit * (window - 1))
 
 
-def _windowed_set(rows: np.ndarray, t: int, starts: np.ndarray, labels: np.ndarray, task: str,
-                  unit_ids: np.ndarray | None = None, names: list[str] | None = None,
-                  stats: dict | None = None) -> SampleSet:
-    """The set whose sample i is the `t` rows of the (R, N, C) table `rows` from `starts[i]`.
-
-    Its source is a read-only (W, N, t, C) view whose window k holds rows k..k+t-1, so
-    overlapping windows share their rows; the rows, not the windows, are checked finite.
-    An empty set may hold fewer than `t` rows, and then W is 0.
-    """
+def _sliding_windows(rows: np.ndarray, t: int) -> np.ndarray:
+    """A read-only (W, N, t, C) view of the (R, N, C) table `rows` whose window k holds rows
+    k..k+t-1, so overlapping windows share their rows; the rows are checked finite. A table
+    of fewer than `t` rows has no window."""
     _check_finite(rows)
     r, n, c = rows.shape
     step, sensor, channel = rows.strides
-    source = as_strided(rows, (max(r - t + 1, 0), n, t, c), (step, sensor, step, channel),
-                        writeable=False)
-    return SampleSet(source, labels, task, names or [], stats, unit_ids, starts)
+    return as_strided(rows, (max(r - t + 1, 0), n, t, c), (step, sensor, step, channel),
+                      writeable=False)
 
 
 # -- generic windowed CSV -------------------------------------------------
@@ -334,28 +328,19 @@ RECORD = np.dtype([("label", "<f8"), ("start", "<u8"), ("unit", "<i8")])
 
 
 def save_canonical(path, sset: SampleSet) -> None:
-    """Write a version 2 container. A source whose windows step one row at a time (as
-    `_windowed_set` builds) gives the rows its samples' windows cover, in table order; other
-    windows are stored end to end, sample k's from row k * T, 1024 at a time, so no copy of
-    every window is built."""
+    """Write a version 2 container: the rows the set's windows cover, in table order, and
+    each sample's window start among them, so shared rows are stored once."""
     if sset.unit_ids is not None and (sset.unit_ids == -1).any():
         raise ConfigError("unit id -1 marks a sample of no unit in a container")
     n, t, c = sset.shape
-    source, s = sset.source, len(sset)
-    if source.strides[0] == source.strides[2]:  # window k + 1 starts at step 1 of window k
-        rows, starts = _covered_rows(source, np.arange(s) if sset.index is None else sset.index)
-        blocks, r = [rows], len(rows)
-    else:
-        blocks = (sset._take(slice(lo, lo + 1024)).transpose(0, 2, 1, 3)
-                  for lo in range(0, s, 1024))
-        starts, r = np.arange(s) * t, s * t
-    records = np.empty(s, dtype=RECORD)
+    rows, starts = _covered_rows(sset.source, sset.index)
+    records = np.empty(len(sset), dtype=RECORD)
     records["label"], records["start"] = sset.labels, starts
     records["unit"] = -1 if sset.unit_ids is None else sset.unit_ids
     with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, VERSION, s, r, n, t, c, TASK_CODES[sset.task]))
-        for block in blocks:
-            np.ascontiguousarray(block).tofile(fh)
+        fh.write(HEADER.pack(MAGIC, VERSION, len(sset), len(rows), n, t, c,
+                             TASK_CODES[sset.task]))
+        rows.tofile(fh)
         records.tofile(fh)
 
 
@@ -372,8 +357,8 @@ def _covered_rows(source: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, n
 
 def load_canonical(path) -> SampleSet:
     """Read a container of either version; a FormatError names the file. A version 2 set
-    is `_windowed_set` of the stored rows, as `load_cmapss` builds its set, with the unit
-    ids the file holds; a version 1 set views one record array and has no index."""
+    views the stored rows as `load_cmapss` views its own, with the unit ids the file holds;
+    a version 1 set lays its records' windows end to end."""
     path = Path(path)
     with open(path, "rb") as fh:  # a missing file raises FileNotFoundError, an IOError
         size = os.fstat(fh.fileno()).st_size
@@ -424,5 +409,6 @@ def _read_v2(fh, size: int, task: str, s: int, r: int, n: int, t: int, c: int) -
     none = records["unit"] == -1
     if none.any() and not none.all():
         raise FormatError("unit ids mix -1 (no unit) with real ids")
-    return _windowed_set(rows, t, records["start"].astype(np.int64), records["label"], task,
-                         None if none.all() else records["unit"].astype(np.int64))
+    return SampleSet(_sliding_windows(rows, t), records["label"], task, [], None,
+                     None if none.all() else records["unit"].astype(np.int64),
+                     records["start"].astype(np.int64))

@@ -173,6 +173,24 @@ class TestTrainEval:
         eval_metrics = json.loads((out2 / "metrics.json").read_text())
         assert abs(eval_metrics[0]["rmse"] - metrics[0]["rmse"]) < 1e-12
 
+    def test_eval_takes_the_class_count_from_the_checkpoint(self, tmp_path, config_file,
+                                                             capsys):
+        # a 3-class checkpoint scores a container whose labels hold only classes 0 and 1
+        x = np.random.default_rng(2).normal(size=(12, 3, 8, 1))
+        train_path, test_path = tmp_path / "train.mtsd", tmp_path / "test.mtsd"
+        D.save_canonical(train_path, D.SampleSet(x, np.arange(12) % 3, "classification"))
+        D.save_canonical(test_path, D.SampleSet(x[:6], np.arange(6) % 2, "classification"))
+        run = ["--config", str(config_file), "--set", "epochs=1"]
+        assert main(["train", *run, "--data", str(train_path), "--out", str(tmp_path / "t")]) == 0
+        evaluate = ["eval", *run, "--data", str(test_path),
+                    "--checkpoint", str(tmp_path / "t" / "checkpoint.hsmg")]
+        assert main([*evaluate, "--out", str(tmp_path / "e")]) == 0
+        resolved = json.loads((tmp_path / "e" / "resolved-config.json").read_text())
+        assert resolved["n_classes"] == 3
+        capsys.readouterr()
+        assert main([*evaluate, "--set", "n_classes=2", "--out", str(tmp_path / "f")]) == 2
+        assert "'mlp.b4' has shape (3,), expected (2,)" in capsys.readouterr().err
+
     def test_unknown_config_key_exit_two(self, tmp_path, toy_data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**TINY, "bogus": 1}))
@@ -436,6 +454,8 @@ MALFORMED = [
     pytest.param(_turbofan(name="RUL_FD001.txt", edit=lambda s: s.replace(".0", ".x", 1)),
                  id="cmapss-rul-token"),
     pytest.param(_turbofan(name="RUL_FD001.txt", edit=_drop_last_line), id="cmapss-rul-short"),
+    pytest.param(_turbofan(name="RUL_FD001.txt", edit=lambda s: s + "7.0\n"),
+                 id="cmapss-rul-long"),
     pytest.param(_turbofan(window="-1"), id="cmapss-window-negative"),
     pytest.param(_turbofan(window="0"), id="cmapss-window-0"),
     pytest.param(_turbofan(window="100"), id="cmapss-window-too-long"),

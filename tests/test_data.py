@@ -108,6 +108,15 @@ class TestTurbofanLoader:
         spelled = D.load_cmapss(tmp_path, "FD001", window=8)
         assert np.array_equal(spelled.windows, plain.windows)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_rul_values_must_match_the_test_units(self, tmp_path, extra):
+        write_turbofan_files(tmp_path)
+        path = tmp_path / "RUL_FD001.txt"
+        values = path.read_text().split()
+        path.write_text("\n".join(values[:extra] if extra < 0 else values + ["7.0"]) + "\n")
+        with pytest.raises(FormatError, match=f"{path}: {5 + extra} RUL values for 5 test"):
+            D.load_cmapss(tmp_path, "FD001", window=8, split="test")
+
     def test_rul_cap_must_be_positive(self, tmp_path):
         write_turbofan_files(tmp_path)
         for cap in (0.0, -5.0, float("nan")):
@@ -219,10 +228,7 @@ class TestLazyWindows:
     def sets(tmp_path):
         write_turbofan_files(tmp_path)
         lazy = D.load_cmapss(tmp_path, "FD001", window=8)
-        windows = lazy.windows
-        plain = D.SampleSet(windows, lazy.labels, lazy.task, unit_ids=lazy.unit_ids)
-        assert lazy.index is not None and plain.index is None
-        assert plain.windows is windows  # a set of given windows keeps the array
+        plain = D.SampleSet(lazy.windows, lazy.labels, lazy.task, unit_ids=lazy.unit_ids)
         return lazy, plain
 
     def test_subset_shares_the_source(self, tmp_path):
@@ -476,21 +482,16 @@ class TestCanonicalContainer:
         (1.0, np.inf, "NaN or infinite values after ingestion"),
     ])
     def test_value_errors_name_the_file(self, tmp_path, label, value, message):
-        sset = D.SampleSet(np.zeros((2, 2, 3, 1)), np.zeros(2), "classification")
-        sset.labels[1], sset.windows[1, 0, 2, 0] = label, value  # after the checks
         path = tmp_path / "bad.mtsd"
-        D.save_canonical(path, sset)
+        D.save_canonical(path, D.SampleSet(np.zeros((2, 2, 3, 1)), np.zeros(2),
+                                           "classification"))
+        raw = bytearray(path.read_bytes())
+        _, rows, records = v2_parts(raw)
+        records["label"][1], rows[5] = label, value  # past the construction-time checks
+        path.write_bytes(raw)
         with pytest.raises(FormatError) as info:
             D.load_canonical(path)
         assert str(info.value) == f"{path}: {message}"
-
-    def test_infinite_window_rejected_on_load(self, tmp_path):
-        sset = D.SampleSet(np.zeros((2, 2, 3, 1)), np.zeros(2), "regression")
-        sset.windows[1, 0, 2, 0] = np.inf  # after the construction-time check
-        path = tmp_path / "inf.mtsd"
-        D.save_canonical(path, sset)
-        with pytest.raises(FormatError):
-            D.load_canonical(path)
 
 
 def v2_parts(raw: bytearray):
@@ -567,10 +568,30 @@ class TestContainerRows:
             loaded = D.load_canonical(path)
             assert loaded.windows.tobytes() == windows.tobytes()
             assert loaded.labels.tobytes() == labels.tobytes()
-            assert (loaded.task, loaded.index, loaded.unit_ids) == (task, None, None)
+            assert (loaded.task, loaded.unit_ids) == (task, None)
+            assert np.array_equal(loaded.index, np.arange(4) * 5)
         path.write_bytes(v1_bytes(windows, labels)[:-1])
         with pytest.raises(FormatError, match=f"{path}: size"):
             D.load_canonical(path)
+
+    def test_every_set_views_its_rows_through_an_index(self, tmp_path):
+        sets = every_kind_of_set(tmp_path)
+        rng = np.random.default_rng(6)
+        windows, labels = rng.normal(size=(4, 3, 5, 2)), rng.normal(size=4)
+        (tmp_path / "v1.mtsd").write_bytes(v1_bytes(windows, labels))
+        sets["v1"] = D.load_canonical(tmp_path / "v1.mtsd")
+        sets["subset"] = sets["direct"].subset(np.array([3, 0, 2]))
+        for kind, sset in sets.items():
+            source = sset.source
+            assert not source.flags.writeable, kind
+            assert source.strides[0] == source.strides[2], kind  # one row per window
+            assert sset.index is not None and len(sset.index) == len(sset), kind
+        # an index over windows that do not share rows picks whole windows
+        picked = D.SampleSet(windows, labels[[2, 0]], "regression", index=np.array([2, 0]))
+        assert np.array_equal(picked.windows, windows[[2, 0]])
+        path = tmp_path / "picked.mtsd"
+        D.save_canonical(path, picked)
+        assert D.load_canonical(path).windows.tobytes() == windows[[2, 0]].tobytes()
 
     def test_unit_id_minus_one_is_refused(self, tmp_path):
         sset = D.SampleSet(np.zeros((2, 2, 3, 1)), np.zeros(2), "regression",

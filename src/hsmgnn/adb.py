@@ -76,7 +76,7 @@ def factored_ndv(w: Tensor, bank: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     m_d, m_q = w1.shape[0], bank.shape[1]  # a bank without N rows fails a product
     bank_t, w_t = T.transpose(bank, (1, 0)), T.transpose(w, (0, 1, 3, 2))
     w1_q = T.reshape(w1, (m_d, m_q, m_q, m))         # the column order of the flat query
-    xi_gram = T.reshape(T.scale(T.matmul(bank_t, bank), eps_spd), (m_q * m_q, 1))
+    xi_gram = T.reshape(T.mul(T.matmul(bank_t, bank), Tensor(eps_spd)), (m_q * m_q, 1))
     ridge = T.matmul(T.reshape(T.sum_axis(w1_q, 3), (m_d, m_q * m_q)), xi_gram)
     w1_q = T.transpose(w1_q, (0, 3, 1, 2))           # (m_d, M, M_q, M_q)
     if n < m_q:  # per block, M N^2 (z_s + m_d) flops here against M M_q^2 (z_s + m_d)

@@ -2,8 +2,8 @@
 
 Every run directory receives a resolved-config.json capturing the fully
 merged configuration, sufficient to reproduce the run bit for bit.
-Exit codes: 0 success, 1 I/O error, 2 config/format error, 3 numerical
-abort.
+Exit codes: 0 success, 1 I/O error, 2 any other package error (config,
+format, shape, contract), 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 from . import data as D
 from . import training
 from .checkpoint import load_checkpoint
-from .errors import ConfigError, ContractError, FormatError, NumericsError, ShapeError
+from .errors import ConfigError, FormatError, HsmgnnError, NumericsError
 from .model import HSMGNN, ModelConfig, VARIANTS
 from .training import MetricsReport, TrainConfig
 
@@ -223,12 +223,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatError, ShapeError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericsError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
+    except HsmgnnError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1

@@ -56,7 +56,7 @@ def factored_multihop(w: Tensor, a: Tensor, r: int, proj_w: Tensor,
     p = T.transpose(T.reshape(proj_w, (n, m, f)), (1, 0, 2))       # P_m: (M, N, F)
     w_t_p = T.reshape(T.matmul(T.transpose(w, (0, 1, 3, 2)), p), (b, m * z, f))
     w_cols = T.reshape(T.transpose(w, (0, 2, 1, 3)), (b, n, m * z))
-    zp = T.add(T.matmul(w_cols, w_t_p), T.scale(T.sum_axis(p, 0), eps_spd))
+    zp = T.add(T.matmul(w_cols, w_t_p), T.mul(T.sum_axis(p, 0), Tensor(eps_spd)))
     return T.add(multihop_conv(zp, a, r, gate), proj_b)
 
 
@@ -65,20 +65,14 @@ def branch_features(u: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return T.add(T.matmul(u, w), b)
 
 
-def fuse_and_predict(u_s_c: Tensor | None, u_e_c: Tensor | None,
+def fuse_and_predict(u_s: Tensor | None, u_e: Tensor | None,
                      w_s: float, w_e: float, mlp: dict[str, Tensor]) -> Tensor:
-    """Weighted concat of branch features through the MLP head.
+    """Weighted concat of flat branch features (B, F_s) and (B, F_e) through the MLP head.
 
     Either branch may be absent (ablations); at least one must be given.
     Output is (B, 1) for regression or (B, n_classes) for classification.
     """
-    parts = []
-    if u_s_c is not None:
-        b = u_s_c.shape[0]
-        parts.append(T.reshape(T.scale(u_s_c, w_s), (b, u_s_c.size // b)))
-    if u_e_c is not None:
-        b = u_e_c.shape[0]
-        parts.append(T.reshape(T.scale(u_e_c, w_e), (b, u_e_c.size // b)))
+    parts = [T.mul(u, Tensor(w)) for u, w in ((u_s, w_s), (u_e, w_e)) if u is not None]
     if not parts:
         raise ContractError("fuse_and_predict needs at least one branch")
     u = parts[0] if len(parts) == 1 else T.concat(parts, 1)
@@ -94,12 +88,12 @@ def fuse_and_predict(u_s_c: Tensor | None, u_e_c: Tensor | None,
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean squared error over the batch."""
-    target = np.asarray(target, dtype=np.float64).reshape(-1)
+    target = np.asarray(target, dtype=np.float64)
     if target.size == 0:
         raise ContractError("empty batch")
     if pred.size != target.size:
         raise ShapeError(f"prediction count {pred.size} != target count {target.size}")
-    diff = T.add(T.reshape(pred, (target.size,)), Tensor(-target))
+    diff = T.add(pred, Tensor(-target.reshape(pred.shape)))
     return T.mean_all(T.mul(diff, diff))
 
 

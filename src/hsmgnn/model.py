@@ -5,9 +5,10 @@ covariances (SPD branch) with memory-bank adjacency refinement, plus the
 Euclidean branch, both convolved multi-hop, projected, fused and fed to
 the MLP head. Each of the K feature blocks of a sample (the D CNN blocks,
 or the L raw blocks of `no-scs`) gets its own graph with shared weights,
-so `HSMGNN.forward` runs every stage once on a (B*K, N, W_p) batch. The
-SPD branch runs on the window factors of the covariances, and builds their
-Gram stack only when N < m_q, in place of a larger query stack (see `scs`).
+so `HSMGNN.forward` runs every stage once on a (B*K, N, W_p) batch and
+flattens each branch's result to (B, K*N*F) for the head. The SPD branch
+runs on the window factors of the covariances, and builds their Gram stack
+only when N < m_q, in place of a larger query stack (see `scs`).
 Ablation variants drop stages (`has_spd`, `has_adb`, `has_euclid`) and
 their parameters.
 
@@ -188,16 +189,16 @@ class HSMGNN:
         cfg, prm = self.cfg, self.params
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         b = xt.shape[0]
-        blocks = scs.block_partition(xt, cfg.w_p)                     # (B, N, W_p, L)
+        blocks = scs.block_partition(xt, cfg.w_p)                     # (B, N, L, W_p)
         if cfg.has_spd:
             blocks = scs.temporal_cnn(blocks, prm["cnn.w1"], prm["cnn.b1"],
-                                      prm["cnn.w2"], prm["cnn.b2"])   # (B, N, W_p, D)
-        k = blocks.shape[3]
+                                      prm["cnn.w2"], prm["cnn.b2"])   # (B, N, D, W_p)
+        k = blocks.shape[2]
         # every feature block gets its own graph: the K blocks become a batch
-        # axis, sample-major, so that a (B*K, ...) result reshapes to (B, K, ...)
-        p = T.reshape(T.transpose(blocks, (0, 3, 1, 2)), (b * k, cfg.n, cfg.w_p))
+        # axis, sample-major, so that a (B*K, ...) result flattens to (B, K*...)
+        p = T.reshape(T.transpose(blocks, (0, 2, 1, 3)), (b * k, cfg.n, cfg.w_p))
 
-        u_s_c = u_e_c = None
+        u_s = u_e = None
         if cfg.has_spd:
             w = scs.window_factors(p, cfg.z_s)
             a_s = adb.factored_base_adjacency(w, cfg.eps_spd)
@@ -208,14 +209,14 @@ class HSMGNN:
                     prm["adb.ffn_w2"], prm["adb.ffn_b2"], cfg.eps_spd))
             h_s = fusion.factored_multihop(w, a_s, cfg.r_s, prm["proj_s.w"], prm["proj_s.b"],
                                            cfg.eps_spd, gate)
-            u_s_c = T.reshape(h_s, (b, k, cfg.n, cfg.f_s))
+            u_s = T.reshape(h_s, (b, k * cfg.n * cfg.f_s))
         if cfg.has_euclid:
             h_e = fusion.multihop_conv(p, fusion.euclidean_adjacency(p), cfg.r_e)
             h_e = fusion.branch_features(h_e, prm["proj_e.w"], prm["proj_e.b"])
-            u_e_c = T.reshape(h_e, (b, k, cfg.n, cfg.f_e))
+            u_e = T.reshape(h_e, (b, k * cfg.n * cfg.f_e))
 
         mlp = {name.split(".", 1)[1]: v for name, v in prm.items() if name.startswith("mlp.")}
-        return fusion.fuse_and_predict(u_s_c, u_e_c, cfg.w_s, cfg.w_e, mlp)
+        return fusion.fuse_and_predict(u_s, u_e, cfg.w_s, cfg.w_e, mlp)
 
     def loss(self, pred: Tensor, targets: np.ndarray) -> Tensor:
         if self.cfg.n_classes > 1:
@@ -247,7 +248,7 @@ class HSMGNN:
                     f"checkpoint tensor {k!r} has shape {arr.shape}, "
                     f"expected {self.params[k].data.shape}"
                 )
-            self.params[k].data = arr.astype(np.float64).copy()
+            self.params[k].data = arr.astype(np.float64)
 
     def save(self, path) -> None:
         save_checkpoint(path, self.state_dict())

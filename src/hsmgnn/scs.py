@@ -31,28 +31,25 @@ from .tensor import Tensor
 
 
 def block_partition(series: Tensor, w_p: int) -> Tensor:
-    """(B, N, T) -> (B, N, W_p, L); trailing T mod W_p steps are dropped."""
+    """(B, N, T) -> (B, N, L, W_p); trailing T mod W_p steps are dropped."""
     b, n, t = series.shape
     if t < w_p:
         raise ConfigError(f"series length {t} shorter than block length {w_p}")
     l = t // w_p
-    kept = T.slice_axis(series, 2, 0, l * w_p)
-    return T.transpose(T.reshape(kept, (b, n, l, w_p)), (0, 1, 3, 2))
+    return T.reshape(T.slice_axis(series, 2, 0, l * w_p), (b, n, l, w_p))
 
 
 def temporal_cnn(blocks: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Two conv1d+relu layers along the within-block axis.
 
-    blocks: (B, N, W_p, L); the L blocks act as input channels and the
-    output carries D feature blocks: (B, N, W_p, D). W_p is preserved by
+    blocks: (B, N, L, W_p); the L blocks act as input channels and the
+    output carries D feature blocks: (B, N, D, W_p). W_p is preserved by
     same padding.
     """
-    b, n, w_p, l = blocks.shape
-    x = T.reshape(T.transpose(blocks, (0, 1, 3, 2)), (b * n, l, w_p))
-    h = T.relu(T.conv1d(x, w1, b1))
+    b, n, l, w_p = blocks.shape
+    h = T.relu(T.conv1d(T.reshape(blocks, (b * n, l, w_p)), w1, b1))
     p = T.relu(T.conv1d(h, w2, b2))
-    d = p.shape[1]
-    return T.transpose(T.reshape(p, (b, n, d, w_p)), (0, 1, 3, 2))
+    return T.reshape(p, (b, n, p.shape[1], w_p))
 
 
 def window_factors(p_d: Tensor, z_s: int) -> Tensor:

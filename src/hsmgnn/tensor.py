@@ -15,7 +15,9 @@ may be a view of its child's (`reshape`, `transpose`).
 
 `conv1d`, `sliding_windows` and `mean_all` are compositions of the other
 ops and define no backward of their own: the first two multiply by a
-constant 0/1 shift matrix (`_shift_matrix`) and reshape.
+constant 0/1 shift matrix (`_shift_matrix`) and reshape, and `mean_all`
+multiplies the sum by the constant 1/size. Scaling by a constant is `mul`
+with a constant `Tensor`, which gets no gradient.
 
 No operation here performs an eigenvalue or Cholesky decomposition.
 """
@@ -143,15 +145,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    data = a.data * c
-
-    def backward(g):
-        a._accumulate(g * c)
-
-    return _make(data, (a,), backward)
-
-
 def relu(a: Tensor) -> Tensor:
     data = np.fmax(a.data, 0.0)  # NaN -> 0: relu is 0 wherever a > 0 is false
     data += 0.0  # fmax keeps -0.0 on some array lengths; this makes it +0.0
@@ -277,13 +270,11 @@ def slice_axis(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def sum_axis(a: Tensor, axis: int) -> Tensor:
+    data = a.data.sum(axis=axis)
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape))
+        a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
 
     return _make(data, (a,), backward)
 
@@ -298,7 +289,7 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.data.size)
+    return mul(sum_all(a), Tensor(1.0 / a.data.size))
 
 
 def _shift_matrix(length: int, shifts: int, pad: int) -> np.ndarray:

@@ -23,7 +23,7 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     max_steps: int | None = None   # optional hard cap, mostly for smoke runs
-    valid_frac: float = 0.1        # validation share; carve_validation checks it is in (0, 1)
+    valid_frac: float = 0.1        # validation share, in (0, 1)
 
     def __post_init__(self):
         check_fields(self)
@@ -33,6 +33,8 @@ class TrainConfig:
             raise ConfigError(f"{', '.join(small)} must be >= 1")
         if self.lr < 0 or self.seed < 0:
             raise ConfigError("lr and seed must be non-negative")
+        if not 0.0 < self.valid_frac < 1.0:
+            raise ConfigError(f"valid_frac must lie in (0, 1), got {self.valid_frac}")
 
 
 @dataclass

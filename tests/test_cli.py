@@ -254,6 +254,19 @@ def test_eval_on_an_empty_container_exits_two(tmp_path, toy_data, config_file, c
     assert "empty" in capsys.readouterr().err
 
 
+def test_eval_rejects_an_out_of_range_valid_frac_before_any_output(
+        tmp_path, toy_data, config_file, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config_file), "--data", str(toy_data),
+                 "--out", str(run), "--set", "epochs=1"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config_file), "--data", str(toy_data),
+                 "--set", "valid_frac=2", "--checkpoint", str(run / "checkpoint.hsmg"),
+                 "--out", str(tmp_path / "e")]) == 2
+    assert "valid_frac" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
 def test_nan_rul_cap_is_named(tmp_path, capsys):
     argv = _turbofan(extra=("--rul-cap", "nan"))(tmp_path, [])
     assert main(argv) == 2

@@ -31,8 +31,8 @@ def dense_forward(model: HSMGNN, x: np.ndarray) -> Tensor:
         blocks = scs.temporal_cnn(blocks, prm["cnn.w1"], prm["cnn.b1"],
                                   prm["cnn.w2"], prm["cnn.b2"])
     spd_blocks, euc_blocks = [], []
-    for d in range(blocks.shape[3]):
-        p_d = T.reshape(T.slice_axis(blocks, 3, d, 1), (b, cfg.n, cfg.w_p))
+    for d in range(blocks.shape[2]):
+        p_d = T.reshape(T.slice_axis(blocks, 2, d, 1), (b, cfg.n, cfg.w_p))
         if cfg.has_spd:
             u_d = scs.window_covariance(p_d, cfg.z_s, cfg.eps_spd)
             a_s = adb.base_adjacency(u_d)
@@ -43,15 +43,15 @@ def dense_forward(model: HSMGNN, x: np.ndarray) -> Tensor:
                 a_s = adb.refine_adjacency(alpha, a_s)
             h_s = fusion.multihop_conv(adb.node_features(u_d), a_s, cfg.r_s)
             h_s = fusion.branch_features(h_s, prm["proj_s.w"], prm["proj_s.b"])
-            spd_blocks.append(T.reshape(h_s, (b, 1, cfg.n, cfg.f_s)))
+            spd_blocks.append(T.reshape(h_s, (b, cfg.n * cfg.f_s)))
         if cfg.has_euclid:
             h_e = fusion.multihop_conv(p_d, fusion.euclidean_adjacency(p_d), cfg.r_e)
             h_e = fusion.branch_features(h_e, prm["proj_e.w"], prm["proj_e.b"])
-            euc_blocks.append(T.reshape(h_e, (b, 1, cfg.n, cfg.f_e)))
-    u_s_c = T.concat(spd_blocks, 1) if spd_blocks else None
-    u_e_c = T.concat(euc_blocks, 1) if euc_blocks else None
+            euc_blocks.append(T.reshape(h_e, (b, cfg.n * cfg.f_e)))
+    u_s = T.concat(spd_blocks, 1) if spd_blocks else None
+    u_e = T.concat(euc_blocks, 1) if euc_blocks else None
     mlp = {k.split(".", 1)[1]: v for k, v in prm.items() if k.startswith("mlp.")}
-    return fusion.fuse_and_predict(u_s_c, u_e_c, cfg.w_s, cfg.w_e, mlp)
+    return fusion.fuse_and_predict(u_s, u_e, cfg.w_s, cfg.w_e, mlp)
 
 
 def rel_diff(got: np.ndarray, ref: np.ndarray) -> float:
@@ -185,6 +185,15 @@ def test_graph_size_does_not_grow_with_the_block_count(variant):
         configs = [ModelConfig(n=5, t=30, d_blocks=d, variant=variant) for d in (1, 4)]
     ops = [sum(1 for node in training_graph(cfg) if node._parents) for cfg in configs]
     assert ops[0] == ops[1], f"op nodes per step: {ops}"
+
+
+@pytest.mark.parametrize("variant,limit", [("complete", 109), ("no-scs", 23),
+                                           ("no-adb", 79), ("no-fgcn", 67)])
+def test_op_nodes_per_training_step(variant, limit):
+    """Each forward tensor has the layout its consumer reads: no op only undoes a reshape."""
+    nodes = training_graph(ModelConfig(n=14, t=30, variant=variant))
+    ops = sum(node._backward is not None for node in nodes)
+    assert ops <= limit, f"{ops} op nodes per step, limit {limit}"
 
 
 @pytest.mark.parametrize("variant", ["complete", "no-adb", "no-fgcn", "no-scs"])

@@ -105,8 +105,8 @@ class TestBranchFeatures:
 class TestFuseAndPredict:
     def test_spd_gate_kills_spd_gradients(self):
         rng = np.random.default_rng(7)
-        u_s = Tensor(rng.normal(size=(2, 2, 3, 2)), requires_grad=True)
-        u_e = Tensor(rng.normal(size=(2, 2, 3, 2)), requires_grad=True)
+        u_s = Tensor(rng.normal(size=(2, 12)), requires_grad=True)
+        u_e = Tensor(rng.normal(size=(2, 12)), requires_grad=True)
         mlp = make_mlp(24, rng=rng)
         pred = fusion.fuse_and_predict(u_s, u_e, 0.0, 1.0, mlp)
         T.sum_all(pred).backward()
@@ -115,25 +115,25 @@ class TestFuseAndPredict:
 
     def test_spd_gate_output_invariance(self):
         rng = np.random.default_rng(8)
-        u_e = Tensor(rng.normal(size=(1, 2, 3, 2)))
+        u_e = Tensor(rng.normal(size=(1, 12)))
         mlp = make_mlp(18, rng=rng)
-        a = fusion.fuse_and_predict(Tensor(rng.normal(size=(1, 1, 3, 2))), u_e, 0.0, 1.0, mlp)
-        b = fusion.fuse_and_predict(Tensor(rng.normal(size=(1, 1, 3, 2))), u_e, 0.0, 1.0, mlp)
+        a = fusion.fuse_and_predict(Tensor(rng.normal(size=(1, 6))), u_e, 0.0, 1.0, mlp)
+        b = fusion.fuse_and_predict(Tensor(rng.normal(size=(1, 6))), u_e, 0.0, 1.0, mlp)
         assert np.array_equal(a.data, b.data)
 
     def test_all_gates_zero_returns_final_bias(self):
         rng = np.random.default_rng(9)
         mlp = make_mlp(12, zero_bias=True, rng=rng)
         mlp["b4"] = Tensor(np.array([2.5]))
-        pred = fusion.fuse_and_predict(Tensor(rng.normal(size=(1, 1, 3, 2))),
-                                       Tensor(rng.normal(size=(1, 1, 3, 2))),
+        pred = fusion.fuse_and_predict(Tensor(rng.normal(size=(1, 6))),
+                                       Tensor(rng.normal(size=(1, 6))),
                                        0.0, 0.0, mlp)
         assert np.allclose(pred.data, 2.5, atol=1e-15)
 
     def test_fused_width_mismatch(self):
         rng = np.random.default_rng(10)
         with pytest.raises(ShapeError):
-            fusion.fuse_and_predict(Tensor(rng.normal(size=(1, 2, 3, 2))), None,
+            fusion.fuse_and_predict(Tensor(rng.normal(size=(1, 12))), None,
                                     1.0, 1.0, make_mlp(13, rng=rng))
 
     def test_no_branches_rejected(self):

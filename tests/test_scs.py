@@ -18,20 +18,20 @@ class TestBlockPartition:
     def test_trailing_steps_dropped(self):
         series = Tensor(np.arange(2 * 2 * 10, dtype=float).reshape(2, 2, 10))
         out = scs.block_partition(series, 4)
-        assert out.shape == (2, 2, 4, 2)  # L = 2, last 2 steps gone
+        assert out.shape == (2, 2, 2, 4)  # L = 2, last 2 steps gone
 
     def test_single_block_is_identity(self):
         x = np.random.default_rng(0).normal(size=(1, 3, 4))
         out = scs.block_partition(Tensor(x), 4)
-        assert np.array_equal(out.data[:, :, :, 0], x)
+        assert np.array_equal(out.data[:, :, 0, :], x)
 
     def test_ramp_block_offsets(self):
         # ramp 0..T-1: block l starts at value (l-1) * W_p
         t = 12
         x = np.tile(np.arange(float(t)), (1, 1, 1))
         out = scs.block_partition(Tensor(x), 4)
-        assert out.data[0, 0, 0, 1] == 4.0
-        assert out.data[0, 0, 0, 2] == 8.0
+        assert out.data[0, 0, 1, 0] == 4.0
+        assert out.data[0, 0, 2, 0] == 8.0
 
     def test_too_short_series(self):
         with pytest.raises(ConfigError):
@@ -48,13 +48,13 @@ class TestTemporalCnn:
 
     def test_zero_input_zero_output(self):
         w1, b1, w2, b2 = self._weights(2, 3, 2)
-        out = scs.temporal_cnn(Tensor(np.zeros((1, 2, 4, 2))), w1, b1, w2, b2)
-        assert np.array_equal(out.data, np.zeros((1, 2, 4, 2)))
+        out = scs.temporal_cnn(Tensor(np.zeros((1, 2, 2, 4))), w1, b1, w2, b2)
+        assert np.array_equal(out.data, np.zeros((1, 2, 2, 4)))
 
     def test_identity_channel_map(self):
         # k=1 identity kernels with hidden = L = D pass relu(X) through
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 2, 4, 3))
+        x = rng.normal(size=(1, 2, 3, 4))
         eye = np.eye(3)[:, :, None]
         w1 = Tensor(eye)
         w2 = Tensor(eye)
@@ -64,9 +64,9 @@ class TestTemporalCnn:
 
     def test_output_shape_contract(self):
         w1, b1, w2, b2 = self._weights(3, 5, 4)
-        out = scs.temporal_cnn(Tensor(np.random.default_rng(2).normal(size=(2, 3, 6, 3))),
+        out = scs.temporal_cnn(Tensor(np.random.default_rng(2).normal(size=(2, 3, 3, 6))),
                                w1, b1, w2, b2)
-        assert out.shape == (2, 3, 6, 4)
+        assert out.shape == (2, 3, 4, 6)
 
 
 class TestWindowCovariance:
@@ -107,24 +107,24 @@ class TestWindowCovariance:
 
 
 def block_batch(p: np.ndarray) -> Tensor:
-    """CNN features (B, N, W_p, D) as the model's (B*D, N, W_p) block batch."""
-    b, n, w_p, d = p.shape
-    return Tensor(p.transpose(0, 3, 1, 2).reshape(b * d, n, w_p))
+    """CNN features (B, N, D, W_p) as the model's (B*D, N, W_p) block batch."""
+    b, n, d, w_p = p.shape
+    return Tensor(p.transpose(0, 2, 1, 3).reshape(b * d, n, w_p))
 
 
 class TestSpdTensor:
     def test_block_batch_matches_per_block_calls(self):
         rng = np.random.default_rng(4)
-        p = rng.normal(size=(2, 3, 4, 3))
+        p = rng.normal(size=(2, 3, 3, 4))
         c = cfg(d_out=3)
         batched = scs.window_covariance(block_batch(p), c.z_s, c.eps_spd).data
         for d in range(3):
-            direct = scs.window_covariance(Tensor(p[:, :, :, d]), c.z_s, c.eps_spd).data
+            direct = scs.window_covariance(Tensor(p[:, :, d]), c.z_s, c.eps_spd).data
             assert np.array_equal(batched[d::3], direct)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)
-        p = rng.normal(size=(1, 4, 4, 2))
+        p = rng.normal(size=(1, 4, 2, 4))
         perm = np.array([2, 0, 3, 1])
         pm = np.eye(4)[perm]
         c = cfg()
@@ -152,7 +152,7 @@ class TestSpdInvariants:
     def test_exact_symmetry_and_positive_definiteness(self):
         rng = np.random.default_rng(6)
         c = cfg(w_p=6, delta=0.4)
-        p = rng.normal(size=(2, 4, 6, 2))
+        p = rng.normal(size=(2, 4, 2, 6))
         u = scs.window_covariance(block_batch(p), c.z_s, c.eps_spd).data
         for bd in range(4):
             for m in range(c.num_windows):
@@ -166,7 +166,7 @@ class TestSpdInvariants:
         # offline eigen check only; the forward path never decomposes
         rng = np.random.default_rng(7)
         c = cfg(w_p=5, delta=0.5)
-        p = rng.normal(size=(1, 3, 5, 2))
+        p = rng.normal(size=(1, 3, 2, 5))
         u = scs.window_covariance(block_batch(p), c.z_s, c.eps_spd).data
         for m in range(c.num_windows):
             for d in range(2):

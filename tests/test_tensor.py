@@ -283,13 +283,6 @@ class TestStructural:
 
         assert max_rel_err(x.grad, numeric_grad(f, x.data)) < 1e-4
 
-    def test_sum_axis_keepdims(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        out = T.sum_axis(x, 1, keepdims=True)
-        assert out.shape == (2, 1)
-        T.sum_all(out).backward()
-        assert np.array_equal(x.grad, np.ones((2, 3)))
-
 
 class TestBackward:
     def test_relu_all_positive(self):

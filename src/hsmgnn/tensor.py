@@ -8,6 +8,13 @@ order and accumulates gradients into every tensor created with
 receive none. Gradients accumulate across calls until `zero_grad()` is
 invoked, matching the usual training-loop contract.
 
+A graph serves one `backward()`. The walk releases each op node's closure
+and parents once the node has passed its gradient on, so every activation
+and intermediate gradient is freed once its last consumer has run. A node
+the caller still holds keeps its `.data` and `.grad`; a further
+`backward()` through any released node raises `ContractError` before it
+writes a gradient.
+
 Gradients are adopted, never written in place: a tensor keeps the first
 gradient array it receives and sums later ones out of place, so one array
 may serve several tensors (both parents of `add`) and a non-leaf gradient
@@ -45,7 +52,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A dense float64 array participating in the differentiation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -78,7 +85,9 @@ class Tensor:
         """Populate gradients of every reachable `requires_grad` tensor.
 
         Gradients accumulate: call `zero_grad` on parameters between
-        optimizer steps.
+        optimizer steps. The walk frees the graph as it goes, so there is
+        one `backward()` per forward: held nodes keep their `.data` and
+        `.grad`, and a second call raises `ContractError`.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -94,20 +103,34 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _freed:
+                _freed(None)  # raises before any gradient is written
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf: a parameter or a constant
+            if node.grad is not None:
                 node._backward(node.grad)
+            # every consumer has run: release the closure and, through it, the parents
+            node._backward, node._parents = _freed, ()
+
+
+def _freed(g) -> None:
+    """The backward of an op node whose graph a finished `backward()` has released."""
+    raise ContractError("backward() through a graph an earlier backward() has freed: "
+                        "run the forward again")
 
 
 def _tracked(t: Tensor) -> bool:
-    """Whether gradients flow into `t`: a parameter, or an op output over one."""
-    return t.requires_grad or bool(t._parents)
+    """Whether gradients flow into `t`: a parameter, or an op output over one. A freed op
+    output still counts, so that a new graph through it fails in `backward()`."""
+    return t.requires_grad or t._backward is not None
 
 
 def _make(data, parents, backward) -> Tensor:

@@ -10,6 +10,9 @@ combines the blocks with `T.concat`. The model must reproduce its
 predictions and every parameter gradient.
 """
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from hsmgnn import HSMGNN, ModelConfig, ablate
 from hsmgnn import adb, fusion, scs
 from hsmgnn import tensor as T
 from hsmgnn.errors import ContractError, ShapeError
+from hsmgnn.optim import Adam
 from hsmgnn.tensor import Tensor
 
 RTOL = 1e-10
@@ -200,9 +204,9 @@ def test_op_nodes_per_training_step(variant, limit):
 def test_constant_leaves_get_no_gradient(variant):
     """Shift matrices, eps*I ridges and the loss target receive no gradient."""
     nodes = training_graph(ModelConfig(n=5, t=30, variant=variant))
-    nodes[0].backward()  # the loss is the walk's first node
     constants = [node for node in nodes if not node.requires_grad and not node._parents]
     params = [node for node in nodes if node.requires_grad]
+    nodes[0].backward()  # the loss is the walk's first node
     assert constants and params
     assert [node.shape for node in constants if node.grad is not None] == []
     assert all(node.grad is not None for node in params)
@@ -217,6 +221,40 @@ def test_parameter_gradients_are_c_contiguous_and_writeable(variant):
     assert params
     for p in params:
         assert p.grad.flags.c_contiguous and p.grad.flags.writeable, p.name
+
+
+def test_backward_frees_the_graph_it_walks():
+    """Only the nodes the caller holds outlive backward(), with their gradients."""
+    model = HSMGNN(ModelConfig(n=5, t=30), seed=0)
+    rng = np.random.default_rng(0)
+    pred = model.forward(rng.normal(size=(4, 5, 30)))
+    loss = model.loss(pred, rng.normal(size=4))
+    interior = weakref.ref(pred._parents[0])  # the head's last product
+    assert interior() is not None
+    loss.backward()
+    assert interior() is None
+    assert loss._parents == () and pred._parents == ()
+    assert pred.grad is not None and all(p.grad is not None for p in model.params.values())
+
+
+@pytest.mark.parametrize("n,b", [(14, 32), (128, 8)])
+def test_training_step_peak_stays_near_the_forward_graph(n, b):
+    """Forward, backward and Adam peak at most 1.5x the memory the forward graph holds."""
+    model = HSMGNN(ModelConfig(n=n, t=30), seed=0)
+    opt = Adam(model.params)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(b, n, 30)), rng.normal(size=b)
+    tracemalloc.start()
+    try:
+        loss = model.loss(model.forward(x), y)
+        held = tracemalloc.get_traced_memory()[0]
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * held, f"step peak {peak / 1e6:.1f} MB, forward graph {held / 1e6:.1f} MB"
 
 
 def test_adb_adds_no_node_of_the_adjacency_shape():

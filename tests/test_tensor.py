@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import max_rel_err, numeric_grad
+from hsmgnn import optim
 from hsmgnn import tensor as T
 from hsmgnn.errors import ConfigError, ContractError, NumericsError, ShapeError
 from hsmgnn.optim import Adam
@@ -299,6 +302,26 @@ class TestBackward:
         with pytest.raises(ContractError):
             Tensor(np.zeros(3), requires_grad=True).backward()
 
+    def test_second_backward_of_a_graph_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = T.sum_all(T.mul(x, x))
+        loss.backward()
+        with pytest.raises(ContractError, match="freed"):
+            loss.backward()
+        assert np.array_equal(x.grad, [2.0, 4.0])
+        assert np.array_equal(loss.grad, 1.0)
+
+    def test_backward_through_a_freed_node_raises_before_any_write(self):
+        # two losses share h; the first backward frees h's graph
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        z = Tensor([3.0, 4.0], requires_grad=True)
+        h = T.mul(x, x)
+        T.sum_all(h).backward()
+        with pytest.raises(ContractError, match="freed"):
+            T.sum_all(T.add(T.mul(h, z), z)).backward()
+        assert np.array_equal(x.grad, [2.0, 4.0]) and z.grad is None
+        assert np.array_equal(h.grad, [1.0, 1.0])
+
     def test_accumulation_without_zeroing(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         T.sum_all(T.mul(x, x)).backward()
@@ -355,6 +378,68 @@ class TestAdam:
         p.grad = np.array([np.nan])
         with pytest.raises(NumericsError, match="theta"):
             Adam({"theta": p}).step()
+
+    def test_non_finite_gradient_changes_nothing(self):
+        rng = np.random.default_rng(0)
+        sizes = {"a": 10, "b": 40_000, "c": 7}
+        params = {k: Tensor(rng.normal(size=n), requires_grad=True) for k, n in sizes.items()}
+        opt = Adam(params, lr=1e-2)
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+        opt.step()
+        params["b"].grad[35_000] = np.inf  # in the second 32k block of the middle one
+        before = [{k: p.data.copy() for k, p in params.items()},
+                  {k: m.copy() for k, m in opt.m.items()}, {k: v.copy() for k, v in opt.v.items()}]
+        with pytest.raises(NumericsError, match="'b'"):
+            opt.step()
+        assert opt.t == 1
+        after = [{k: p.data for k, p in params.items()}, opt.m, opt.v]
+        for old, new in zip(before, after):
+            for k in sizes:
+                assert np.array_equal(old[k], new[k]), k
+
+    def test_matches_the_whole_array_formula_bit_for_bit(self):
+        def reference(p, m, v, g, t, lr):
+            root_c2 = np.sqrt(1.0 - optim.BETA2 ** t)
+            step_size, eps = lr * root_c2 / (1.0 - optim.BETA1 ** t), optim.EPS * root_c2
+            m *= optim.BETA1
+            m += (1.0 - optim.BETA1) * g
+            v *= optim.BETA2
+            v += (1.0 - optim.BETA2) * np.square(g)
+            p -= step_size * m / (np.sqrt(v) + eps)
+
+        rng = np.random.default_rng(3)
+        shapes = {"large": (100_003,), "scalar": (), "strided": (300, 500)}  # blocks of 32k
+        init = {k: rng.normal(size=s) for k, s in shapes.items()}
+        base = init["strided"].copy()
+        params = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+        params["strided"] = Tensor(base[:, ::2], requires_grad=True)  # a non-contiguous view
+        assert not params["strided"].data.flags.c_contiguous
+        ref = {k: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)]
+               for k, p in params.items()}
+        opt = Adam(params, lr=1e-2)
+        for t in range(1, 6):
+            for k, p in params.items():
+                p.grad = rng.normal(size=p.shape)
+                reference(*ref[k], p.grad, t, 1e-2)
+            opt.step()
+            for k, p in params.items():
+                for got, want in zip((p.data, opt.m[k], opt.v[k]), ref[k]):
+                    assert got.tobytes() == want.tobytes(), (k, t)
+        assert params["strided"].data.base is base  # updated through the view
+        assert np.array_equal(base[:, ::2], ref["strided"][0])
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        p = Tensor(np.ones(10**6), requires_grad=True)
+        p.grad = np.full(10**6, 0.5)
+        opt = Adam({"p": p})
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"step() traced a {peak / 2**20:.1f} MiB peak"
 
 
 class TestSlidingWindows:

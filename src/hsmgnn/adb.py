@@ -11,11 +11,13 @@ The model calls the factored forms, which take the window factors W
 
 - `factored_base_adjacency` uses Z Z^T = sum_m U_m^2
   = [W_m (W_m^T W_m + 2 eps I)]_m [W_m]_m^T + M eps^2 I, one
-  (N, M*z_s) x (M*z_s, N) product;
+  (N, M*z_s) x (M*z_s, N) product; the M eps^2 ridge goes on the diagonal
+  inside the one `T.softmax_relu_rows` node, so no N x N identity is made;
 - `factored_ndv` uses Xi^T U_m Xi = (Xi^T W_m)(Xi^T W_m)^T + eps Xi^T Xi, or for
   N < M_q folds Xi into the FFN weights against a (B, M, N, N) Gram stack;
 - the refined D A, D = diag(1 + alpha), is never formed: (D A)^j U is j rounds
-  of h <- D (A h), so `fusion.multihop_conv` rescales each hop by `refine_gate`.
+  of h <- D (A h), so `fusion.multihop_conv` rescales each hop by `refine_gate`,
+  inside the one node of the hop recursion.
 
 `base_adjacency`, `ndv` of `bilinear_query` and `refine_adjacency` take the
 dense forms and are the reference definitions the factored forms must reproduce.
@@ -60,8 +62,7 @@ def factored_base_adjacency(w: Tensor, eps_spd: float) -> Tensor:
     gram = T.add(T.matmul(w_t, w), Tensor(2.0 * eps_spd * np.eye(z)))  # (B, M, z, z)
     left = T.reshape(T.transpose(T.matmul(w, gram), (0, 2, 1, 3)), (b, n, m * z))
     scores = T.matmul(left, T.reshape(w_t, (b, m * z, n)))
-    scores = T.add(scores, Tensor(m * eps_spd ** 2 * np.eye(n)))
-    return T.softmax_rows(T.relu(scores))
+    return T.softmax_relu_rows(scores, ridge=m * eps_spd ** 2)
 
 
 def factored_ndv(w: Tensor, bank: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,

@@ -1,9 +1,10 @@
 """Fusion graph convolution and the prediction head.
 
 Both branches run multi-hop propagation (sums of adjacency powers times
-node features, computed by repeated multiplication), get projected to a
-common per-branch width, and are fused by fixed weights before a 4-layer
-MLP emits the prediction.
+node features, computed by repeated multiplication in one `T.multihop`
+node), get projected to a common per-branch width, and are fused by fixed
+weights before a 4-layer MLP emits the prediction. The Euclidean adjacency
+softmax(relu(P P^T)) is one `T.softmax_relu_rows` node.
 
 Propagation and projection are both linear, so (A^r Z) P = A^r (Z P).
 The SPD branch (`factored_multihop`) therefore projects first and
@@ -14,6 +15,7 @@ added after propagation. `multihop_conv` followed by `branch_features` on
 the dense stack is the reference definition. The ADB refinement D A,
 D = diag(1 + alpha), enters the same way: (D A)^j U is j rounds of
 h <- D (A h), so the hop outputs are rescaled and D A is never formed.
+The whole hop recursion, gate included, is one node.
 """
 
 from __future__ import annotations
@@ -21,26 +23,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
 
 def euclidean_adjacency(p_k: Tensor) -> Tensor:
     """softmax(relu(P P^T)) on raw block features, (B, N, W_p) -> (B, N, N)."""
-    return T.softmax_rows(T.relu(T.matmul(p_k, T.transpose(p_k, (0, 2, 1)))))
+    return T.softmax_relu_rows(T.matmul(p_k, T.transpose(p_k, (0, 2, 1))))
 
 
 def multihop_conv(u: Tensor, a: Tensor, r: int, gate: Tensor | None = None) -> Tensor:
-    """Sum_{j=1..r} A^j U via repeated multiplication; gated, A is diag(1 + gate) A."""
-    if r < 1:
-        raise ConfigError(f"hop count must be >= 1, got {r}")
-    h, out = u, None
-    for _ in range(r):
-        h = T.matmul(a, h)
-        if gate is not None:
-            h = T.add(T.mul(gate, h), h)
-        out = h if out is None else T.add(out, h)
-    return out
+    """Sum_{j=1..r} A^j U as one `T.multihop` node; gated, A is diag(1 + gate) A."""
+    return T.multihop(a, u, r, gate)
 
 
 def factored_multihop(w: Tensor, a: Tensor, r: int, proj_w: Tensor,

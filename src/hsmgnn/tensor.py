@@ -26,6 +26,13 @@ constant 0/1 shift matrix (`_shift_matrix`) and reshape, and `mean_all`
 multiplies the sum by the constant 1/size. Scaling by a constant is `mul`
 with a constant `Tensor`, which gets no gradient.
 
+Two ops on the model's (N, N) graphs have a backward of their own, because
+the composition they replace holds whole N x N arrays that theirs does not:
+`softmax_relu_rows` keeps no relu output and adds no ridge constant, and
+`multihop` forms A's gradient as one product instead of r products and
+r - 1 sums. Each computes the forward of its composition bit for bit;
+`softmax_rows`, `relu`, `matmul`, `mul` and `add` stay as the oracles.
+
 No operation here performs an eigenvalue or Cholesky decomposition.
 """
 
@@ -203,16 +210,40 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def softmax_relu_rows(a: Tensor, ridge: float = 0.0) -> Tensor:
+    """`softmax_rows(relu(a + ridge*I))` as one node, bit for bit; the ridge goes on the diagonal
+    of the last two axes, so no (N, N) constant is made."""
+    data = a.data.copy()
+    if ridge:
+        data.reshape(data.shape[:-2] + (-1,))[..., ::data.shape[-1] + 1] += ridge
+    positive = data > 0.0
+    np.fmax(data, 0.0, out=data)
+    data += 0.0  # as in relu: -0.0 -> +0.0
+    data -= data.max(axis=-1, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        grad = g * data
+        np.subtract(g, grad.sum(axis=-1, keepdims=True), out=grad)
+        grad *= data
+        grad *= positive
+        a._accumulate(grad)
+
+    return _make(data, (a,), backward)
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y or ShapeError: every forward product of `matmul` and `multihop` is taken here."""
+    if x.ndim < 2 or y.ndim < 2:
+        raise ShapeError(f"matmul needs rank >= 2 operands, got {x.shape} and {y.shape}")
+    if x.shape[-1] != y.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {x.shape} x {y.shape}")
+    return x @ y
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(
-            f"matmul needs rank >= 2 operands, got {a.data.shape} and {b.data.shape}"
-        )
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}"
-        )
-    data = a.data @ b.data
+    data = _product(a.data, b.data)
 
     def backward(g):
         if _tracked(a):
@@ -236,6 +267,46 @@ def _operand_grad(x: np.ndarray, y: np.ndarray, like: np.ndarray) -> np.ndarray:
     if like.flags.f_contiguous and not like.flags.c_contiguous:
         return (y.T @ x).T
     return x.T @ y
+
+
+def multihop(a: Tensor, u: Tensor, r: int, gate: Tensor | None = None) -> Tensor:
+    """sum_{j=1..r} (D A)^j U as one node, D = diag(1 + gate); A broadcasts over U's batch axes.
+
+    The forward runs the loop t = A h, h = gate*t + t of `matmul`, `mul` and `add`, bit for
+    bit. The backward forms A's gradient as one product [dt_1 ... dt_r][h_0 ... h_{r-1}]^T.
+    """
+    if r < 1:
+        raise ConfigError(f"hop count must be >= 1, got {r}")
+    gated = gate is not None
+    hs, ts, out = [u.data], [], None  # the hop inputs h_{j-1}; if gated, the products A h_{j-1}
+    for _ in range(r):
+        t = _product(a.data, hs[-1])
+        if gated:
+            ts.append(t)
+            t = gate.data * t + t
+        hs.append(t)
+        out = t if out is None else out + t
+    hs.pop()
+
+    def backward(g):
+        dts, carry, dgate = [], None, 0.0
+        for j in reversed(range(r)):
+            dh = g if carry is None else g + carry
+            if gated:
+                dgate = dgate + dh * ts[j]
+                dh = gate.data * dh + dh
+            dts.append(dh)
+            carry = np.swapaxes(a.data, -1, -2) @ dh
+        if _tracked(u):
+            u._accumulate(carry)
+        if gated and _tracked(gate):
+            gate._accumulate(_unbroadcast(dgate, gate.data.shape))
+        if _tracked(a):
+            dt = np.concatenate(dts[::-1], axis=-1)
+            h = np.concatenate(hs, axis=-1)
+            a._accumulate(_operand_grad(np.swapaxes(dt, -1, -2), np.swapaxes(h, -1, -2), a.data))
+
+    return _make(out, (a, u) if gate is None else (a, u, gate), backward)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:

@@ -153,9 +153,9 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
             value = float(loss.data)
             if not np.isfinite(value):
                 raise NumericsError(f"non-finite loss at epoch {epoch}, step {step}")
-            opt.zero_grad()
             loss.backward()
             opt.step()
+            opt.zero_grad()  # no gradient outlives its step: not in evaluate, nor in the model
             del pred, loss  # frees the step's graph before the next forward
             epoch_losses.append(value)
             step += 1

@@ -240,17 +240,18 @@ def test_criterion_8_complexity_contract(monkeypatch):
         return float(np.median(times))
 
     def matmul_madds(chain):
-        """Multiply-adds of every T.matmul the chain records: deterministic, unlike its time."""
-        total, matmul = 0, T.matmul
+        """Multiply-adds of every forward product the chain computes, those of `T.matmul` and
+        the r hops inside `T.multihop` alike: deterministic, unlike its time."""
+        total, product = 0, T._product
 
-        def counted(a, b):
+        def counted(x, y):
             nonlocal total
-            out = matmul(a, b)
-            total += out.size * a.shape[-1]
+            out = product(x, y)
+            total += out.size * x.shape[-1]
             return out
 
         with monkeypatch.context() as patch:
-            patch.setattr(T, "matmul", counted)
+            patch.setattr(T, "_product", counted)
             chain()
         return total
 

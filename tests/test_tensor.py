@@ -248,6 +248,8 @@ class TestElementwise:
         (T.relu, lambda x: np.maximum(x, 0.0)),
         (T.sigmoid, lambda x: 1 / (1 + np.exp(-x))),
         (T.softmax_rows, lambda x: np.exp(x) / np.exp(x).sum(-1, keepdims=True)),
+        (T.softmax_relu_rows, lambda x: np.exp(np.maximum(x, 0.0))
+         / np.exp(np.maximum(x, 0.0)).sum(-1, keepdims=True)),
     ])
     def test_finite_difference(self, op, ref):
         rng = np.random.default_rng(6)
@@ -259,6 +261,107 @@ class TestElementwise:
             return float((ref(x.data) * weights).sum())
 
         assert max_rel_err(x.grad, numeric_grad(f, x.data)) < 1e-4
+
+
+def softmax_relu_composed(a: Tensor, ridge: float) -> Tensor:
+    return T.softmax_rows(T.relu(T.add(a, Tensor(ridge * np.eye(a.shape[-1])))))
+
+
+def multihop_loop(a: Tensor, u: Tensor, r: int, gate: Tensor | None) -> Tensor:
+    """sum_{j=1..r} (D A)^j U hop by hop from `matmul`, `mul` and `add`."""
+    h, out = u, None
+    for _ in range(r):
+        h = T.matmul(a, h)
+        if gate is not None:
+            h = T.add(T.mul(gate, h), h)
+        out = h if out is None else T.add(out, h)
+    return out
+
+
+class TestSoftmaxReluRows:
+    """The fused node against central differences and, bit for bit, the composition."""
+
+    def test_finite_difference_mixed_signs_with_ridge(self):
+        rng = np.random.default_rng(11)
+        ridge = 0.25  # |entries| >= 0.5, so every entry of a + ridge*I is 0.25 or more from 0
+        x = rng.choice([-1.0, 1.0], size=(2, 4, 4)) * rng.uniform(0.5, 2.0, size=(2, 4, 4))
+        a = Tensor(x, requires_grad=True)
+        weights = rng.normal(size=(2, 4, 4))
+        T.sum_all(T.mul(T.softmax_relu_rows(a, ridge), Tensor(weights))).backward()
+
+        def f():
+            e = np.exp(np.maximum(a.data + ridge * np.eye(4), 0.0))
+            return float((e / e.sum(-1, keepdims=True) * weights).sum())
+
+        assert max_rel_err(a.grad, numeric_grad(f, a.data)) < 1e-4
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.3])
+    def test_matches_the_composition_bit_for_bit(self, ridge):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(3, 5, 5))
+        x[0, 1] = -np.abs(x[0, 1]) - ridge   # a row without a positive entry
+        x[1, 2] = 0.0                        # a row of exact zeros
+        x[2, 3, :2] = -0.0                   # negative zeros, which relu maps to +0.0
+        x[2, 4, 4] = -ridge                  # exactly 0 once the ridge is added
+        weights = rng.normal(size=x.shape)
+        outs, grads = [], []
+        for op in (T.softmax_relu_rows, softmax_relu_composed):
+            a = Tensor(x.copy(), requires_grad=True)
+            out = op(a, ridge)
+            T.sum_all(T.mul(out, Tensor(weights))).backward()
+            outs.append(out.data)
+            grads.append(a.grad)
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(grads[0], grads[1])
+
+
+class TestMultihop:
+    """`T.multihop` against central differences and against the hop-by-hop loop."""
+
+    @staticmethod
+    def _operands(r, gated, broadcast, seed):
+        rng = np.random.default_rng(seed + 10 * r + 2 * gated + broadcast)
+        a = Tensor(rng.uniform(-0.5, 1.0, size=(1 if broadcast else 2, 4, 4)), requires_grad=True)
+        u = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        gate = Tensor(rng.uniform(0.0, 1.0, size=(2, 4, 1)), requires_grad=True) if gated else None
+        return a, u, gate, rng.normal(size=(2, 4, 3))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize("broadcast", [False, True])
+    def test_finite_difference(self, r, gated, broadcast):
+        a, u, gate, weights = self._operands(r, gated, broadcast, 0)
+        T.sum_all(T.mul(T.multihop(a, u, r, gate), Tensor(weights))).backward()
+
+        def f():
+            d = 1.0 + (gate.data if gated else 0.0)
+            h, out = u.data, 0.0
+            for _ in range(r):
+                h = d * (a.data @ h)
+                out = out + h
+            return float((out * weights).sum())
+
+        for p in (a, u) + ((gate,) if gated else ()):
+            assert max_rel_err(p.grad, numeric_grad(f, p.data)) < 1e-4
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize("broadcast", [False, True])
+    def test_matches_the_loop(self, r, gated, broadcast):
+        results = []
+        for op in (T.multihop, multihop_loop):
+            a, u, gate, weights = self._operands(r, gated, broadcast, 1)
+            out = op(a, u, r, gate)
+            T.sum_all(T.mul(out, Tensor(weights))).backward()
+            results.append([out.data] + [p.grad for p in (a, u, gate) if p is not None])
+        fused, loop = results
+        assert np.array_equal(fused[0], loop[0])
+        for got, want in zip(fused[1:], loop[1:]):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_shape_error_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(1, 2, 2\).*\(1, 3, 2\)"):
+            T.multihop(Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 3, 2))), 2)
 
 
 class TestStructural:

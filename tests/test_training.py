@@ -104,6 +104,20 @@ class TestTrainLoop:
         assert len(calls) == 3 + 1
         assert len(report.loss_curve) == 3
 
+    def test_no_gradient_outlives_its_step(self, monkeypatch):
+        held = []
+
+        def recording(model, *args, **kwargs):
+            held.extend(p.grad is not None for p in model.params.values())
+            return evaluate(model, *args, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate", recording)
+        sset = synthetic_set()
+        tc = TrainConfig(batch_size=8, epochs=2, lr=1e-2, patience=50, seed=1)
+        model, _ = train(tiny_cfg(), tc, sset, sset)
+        assert held and not any(held)
+        assert [name for name, p in model.params.items() if p.grad is not None] == []
+
     def test_empty_data_rejected(self):
         sset = synthetic_set(4)
         with pytest.raises(ConfigError):

@@ -6,15 +6,16 @@ FFN that emits one sigmoid scaling factor per sensor, applied as a
 residual row rescaling. No eigen or Cholesky decomposition anywhere:
 everything is plain matrix multiplication.
 
-The model calls the factored forms, which take the window factors W
-(B, M, N, z_s) of the slices U_m = W_m W_m^T + eps*I and never form U:
+The model calls the factored forms, which never form U; the identities
+they use are stated in `scs`:
 
-- `factored_base_adjacency` uses Z Z^T = sum_m U_m^2
-  = [W_m (W_m^T W_m + 2 eps I)]_m [W_m]_m^T + M eps^2 I, one
-  (N, M*z_s) x (M*z_s, N) product; the M eps^2 ridge goes on the diagonal
-  inside the one `T.softmax_relu_rows` node, so no N x N identity is made;
-- `factored_ndv` uses Xi^T U_m Xi = (Xi^T W_m)(Xi^T W_m)^T + eps Xi^T Xi, or for
-  N < M_q folds Xi into the FFN weights against a (B, M, N, N) Gram stack;
+- `factored_base_adjacency` forms Z Z^T from the feature blocks P
+  (B, N, W_p) and the constant K, with one (N, W_p) x (W_p, N) product; the
+  M eps^2 ridge goes on the diagonal inside the one `T.softmax_relu_rows`
+  node, so no N x N identity is made;
+- `factored_ndv` takes the window factors W (B, M, N, z_s) and the bilinear
+  query identity, or for N < M_q folds Xi into the FFN weights against a
+  (B, M, N, N) Gram stack;
 - the refined D A, D = diag(1 + alpha), is never formed: (D A)^j U is j rounds
   of h <- D (A h), so `fusion.multihop_conv` rescales each hop by `refine_gate`,
   inside the one node of the hop recursion.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import scs
 from . import tensor as T
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
@@ -55,14 +57,15 @@ def bilinear_query(u_d: Tensor, bank: Tensor) -> Tensor:
     return T.transpose(q, (0, 2, 3, 1))
 
 
-def factored_base_adjacency(w: Tensor, eps_spd: float) -> Tensor:
-    """`base_adjacency` of the stack with factors w (B, M, N, z_s); (B, N, N)."""
-    b, m, n, z = w.shape
-    w_t = T.transpose(w, (0, 1, 3, 2))                               # (B, M, z, N)
-    gram = T.add(T.matmul(w_t, w), Tensor(2.0 * eps_spd * np.eye(z)))  # (B, M, z, z)
-    left = T.reshape(T.transpose(T.matmul(w, gram), (0, 2, 1, 3)), (b, n, m * z))
-    scores = T.matmul(left, T.reshape(w_t, (b, m * z, n)))
-    return T.softmax_relu_rows(scores, ridge=m * eps_spd ** 2)
+def factored_base_adjacency(p: Tensor, z_s: int, eps_spd: float) -> Tensor:
+    """`base_adjacency` of the window stack of blocks p (B, N, W_p), width z_s; (B, N, N)."""
+    w_p = p.shape[2]
+    c = scs.window_coverage(w_p, z_s)
+    k = T.matmul(c, T.transpose(c, (1, 0)))                          # K = C C^T
+    p_t = T.transpose(p, (0, 2, 1))
+    gram = T.mul(T.add(T.matmul(p_t, p), Tensor(2.0 * eps_spd * np.eye(w_p))), k)
+    scores = T.matmul(T.matmul(p, gram), p_t)
+    return T.softmax_relu_rows(scores, ridge=c.shape[1] * eps_spd ** 2)
 
 
 def factored_ndv(w: Tensor, bank: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,

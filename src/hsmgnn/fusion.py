@@ -6,13 +6,13 @@ node), get projected to a common per-branch width, and are fused by fixed
 weights before a 4-layer MLP emits the prediction. The Euclidean adjacency
 softmax(relu(P P^T)) is one `T.softmax_relu_rows` node.
 
-Propagation and projection are both linear, so (A^r Z) P = A^r (Z P).
+Propagation and projection are both linear, so (A^r Z) P_s = A^r (Z P_s).
 The SPD branch (`factored_multihop`) therefore projects first and
 propagates f_s columns instead of the N*M columns of the flattened stack
-Z. It never forms Z either: with U_m = W_m W_m^T + eps*I and P_m the rows
-k*M + m of P, Z P = sum_m W_m (W_m^T P_m) + eps sum_m P_m. The bias is
-added after propagation. `multihop_conv` followed by `branch_features` on
-the dense stack is the reference definition. The ADB refinement D A,
+Z. It never forms Z either: it takes Z P_s from the feature blocks and the
+projection weights (the identity is stated in `scs`). The bias is added
+after propagation. `multihop_conv` followed by `branch_features` on the
+dense stack is the reference definition. The ADB refinement D A,
 D = diag(1 + alpha), enters the same way: (D A)^j U is j rounds of
 h <- D (A h), so the hop outputs are rescaled and D A is never formed.
 The whole hop recursion, gate included, is one node.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import scs
 from . import tensor as T
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
@@ -37,20 +38,21 @@ def multihop_conv(u: Tensor, a: Tensor, r: int, gate: Tensor | None = None) -> T
     return T.multihop(a, u, r, gate)
 
 
-def factored_multihop(w: Tensor, a: Tensor, r: int, proj_w: Tensor,
-                      proj_b: Tensor, eps_spd: float, gate: Tensor | None = None) -> Tensor:
-    """Projected SPD-branch features from window factors w (B, M, N, z_s).
+def factored_multihop(p: Tensor, a: Tensor, r: int, proj_w: Tensor, proj_b: Tensor,
+                      z_s: int, eps_spd: float, gate: Tensor | None = None) -> Tensor:
+    """Projected SPD-branch features from blocks p (B, N, W_p) and window width z_s.
 
-    Equals sum_{j=1..r} A^j Z P + b for the flattened Gram stack Z
-    (B, N, N*M) and P = proj_w (N*M, F), with A gated as in `multihop_conv`;
+    Equals sum_{j=1..r} A^j Z P_s + b for the flattened Gram stack Z
+    (B, N, N*M) and P_s = proj_w (N*M, F), with A gated as in `multihop_conv`;
     returns (B, N, F).
     """
-    b, m, n, z = w.shape
-    f = proj_w.shape[1]
-    p = T.transpose(T.reshape(proj_w, (n, m, f)), (1, 0, 2))       # P_m: (M, N, F)
-    w_t_p = T.reshape(T.matmul(T.transpose(w, (0, 1, 3, 2)), p), (b, m * z, f))
-    w_cols = T.reshape(T.transpose(w, (0, 2, 1, 3)), (b, n, m * z))
-    zp = T.add(T.matmul(w_cols, w_t_p), T.mul(T.sum_axis(p, 0), Tensor(eps_spd)))
+    n, w_p = p.shape[1:]
+    c = scs.window_coverage(w_p, z_s)
+    p_m = T.reshape(proj_w, (n, c.shape[1], proj_w.shape[1]))  # P_m = p_m[:, m]
+    p_tilde = T.transpose(T.matmul(c, p_m), (1, 0, 2))           # P~_t: (W_p, N, F)
+    r_t = T.matmul(T.transpose(p, (2, 0, 1)), p_tilde)           # R[t] = p_t^T P~_t: (W_p, B, F)
+    ridge = T.mul(T.sum_axis(p_m, 1), Tensor(eps_spd))           # eps sum_m P_m
+    zp = T.add(T.matmul(p, T.transpose(r_t, (1, 0, 2))), ridge)
     return T.add(multihop_conv(zp, a, r, gate), proj_b)
 
 

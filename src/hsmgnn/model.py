@@ -7,8 +7,9 @@ the MLP head. Each of the K feature blocks of a sample (the D CNN blocks,
 or the L raw blocks of `no-scs`) gets its own graph with shared weights,
 so `HSMGNN.forward` runs every stage once on a (B*K, N, W_p) batch and
 flattens each branch's result to (B, K*N*F) for the head. The SPD branch
-runs on the window factors of the covariances, and builds their Gram stack
-only when N < m_q, in place of a larger query stack (see `scs`).
+takes its adjacency and projection from the blocks themselves; only the
+distance FFN of `complete` reads the window factors of the covariances
+(see `scs`).
 Ablation variants drop stages (`has_spd`, `has_adb`, `has_euclid`) and
 their parameters.
 
@@ -200,15 +201,14 @@ class HSMGNN:
 
         u_s = u_e = None
         if cfg.has_spd:
-            w = scs.window_factors(p, cfg.z_s)
-            a_s = adb.factored_base_adjacency(w, cfg.eps_spd)
+            a_s = adb.factored_base_adjacency(p, cfg.z_s, cfg.eps_spd)
             gate = None
             if cfg.has_adb:  # the gate rescales the hop outputs, so a_s is never refined
                 gate = adb.refine_gate(adb.factored_ndv(
-                    w, prm["adb.bank"], prm["adb.ffn_w1"], prm["adb.ffn_b1"],
-                    prm["adb.ffn_w2"], prm["adb.ffn_b2"], cfg.eps_spd))
-            h_s = fusion.factored_multihop(w, a_s, cfg.r_s, prm["proj_s.w"], prm["proj_s.b"],
-                                           cfg.eps_spd, gate)
+                    scs.window_factors(p, cfg.z_s), prm["adb.bank"], prm["adb.ffn_w1"],
+                    prm["adb.ffn_b1"], prm["adb.ffn_w2"], prm["adb.ffn_b2"], cfg.eps_spd))
+            h_s = fusion.factored_multihop(p, a_s, cfg.r_s, prm["proj_s.w"], prm["proj_s.b"],
+                                           cfg.z_s, cfg.eps_spd, gate)
             u_s = T.reshape(h_s, (b, k * cfg.n * cfg.f_s))
         if cfg.has_euclid:
             h_e = fusion.multihop_conv(p, fusion.euclidean_adjacency(p), cfg.r_e)

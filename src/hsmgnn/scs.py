@@ -6,17 +6,25 @@ strictly positive-definite window Gram matrices. All functions take a
 leading batch axis; W_p and z_s are plain ints (see `ModelConfig`).
 
 Every Gram slice is U_m = W_m W_m^T + eps*I, where the window factor W_m
-is the (N, z_s) stride-1 window m of a feature block. The model never
-forms a U_m: it runs on the factors W (`window_factors`), using three exact
-identities (see `adb` and `fusion`), and builds the (M, N, N) Gram stack of
-the W_m only when N < M_q, in place of the larger (M, M_q, M_q) query stack:
+is the (N, z_s) stride-1 window m of a feature block P (N, W_p). Let C be
+the constant (W_p, M) 0/1 matrix with C[t, m] = 1 where window m covers
+step t (`window_coverage`), and K = C C^T, which counts the windows that
+cover both t and s. The model never forms a U_m; it uses three exact
+identities, with Z the (N, N*M) flattened stack and P_m the rows k*M + m
+of a projection P_s (N*M, F):
 
-- base adjacency: Z Z^T = sum_m U_m^2
-  = [W_m (W_m^T W_m + 2 eps I)]_m [W_m]_m^T + M eps^2 I;
-- bilinear query: Xi^T U_m Xi = (Xi^T W_m)(Xi^T W_m)^T + eps Xi^T Xi;
-- projection: Z P = sum_m W_m (W_m^T P_m) + eps sum_m P_m, which commutes
-  with multi-hop propagation, (A^r Z) P = A^r (Z P).
+- base adjacency: Z Z^T = sum_m U_m^2 = P (K . (P^T P + 2 eps I)) P^T
+  + M eps^2 I, with . the elementwise product (`adb.factored_base_adjacency`);
+- projection: Z P_s = P R + eps sum_m P_m, where row t of R is p_t^T P~_t,
+  p_t is column t of P and P~_t = sum_m C[t, m] P_m is built from the
+  weights once per forward (`fusion.factored_multihop`);
+- bilinear query: Xi^T U_m Xi = (Xi^T W_m)(Xi^T W_m)^T + eps Xi^T Xi, on
+  the window factors W (`window_factors`), which the distance FFN alone
+  reads (`adb.factored_ndv`); it builds the (M, N, N) Gram stack of the W_m
+  only when N < M_q, in place of the larger (M, M_q, M_q) query stack.
 
+The first two follow from W_m W_m^T = P diag(c_m) P^T, with c_m column m
+of C: summed over m, the diagonal masks become K or the rows of C.
 `window_covariance` builds the dense stack and is kept as the reference
 definition of the SPD embedding.
 """
@@ -55,6 +63,12 @@ def temporal_cnn(blocks: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor)
 def window_factors(p_d: Tensor, z_s: int) -> Tensor:
     """Stride-1 windows of width z_s as Gram factors: (B, N, W_p) -> (B, M, N, z_s)."""
     return T.transpose(T.sliding_windows(p_d, z_s), (0, 2, 1, 3))
+
+
+def window_coverage(w_p: int, z_s: int) -> Tensor:
+    """The constant (W_p, M) coverage of the width-z_s windows: C[t, m] = 1 if m <= t < m + z_s."""
+    m = w_p - z_s + 1
+    return Tensor(T._shift_matrix(w_p, m, 0).reshape(w_p, m, z_s).sum(axis=2))
 
 
 def window_covariance(p_d: Tensor, z_s: int, eps_spd: float) -> Tensor:

@@ -234,7 +234,7 @@ def softmax_relu_rows(a: Tensor, ridge: float = 0.0) -> Tensor:
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y or ShapeError: every forward product of `matmul` and `multihop` is taken here."""
+    """x @ y or ShapeError: the package takes every matrix product here, forward and backward."""
     if x.ndim < 2 or y.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {x.shape} and {y.shape}")
     if x.shape[-1] != y.shape[-2]:
@@ -262,11 +262,11 @@ def _operand_grad(x: np.ndarray, y: np.ndarray, like: np.ndarray) -> np.ndarray:
     order: (y^T x)^T for a view W^T, so that W's gradient is C-contiguous.
     """
     if like.ndim > 2:
-        return _unbroadcast(np.swapaxes(x, -1, -2) @ y, like.shape)
+        return _unbroadcast(_product(np.swapaxes(x, -1, -2), y), like.shape)
     x, y = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
     if like.flags.f_contiguous and not like.flags.c_contiguous:
-        return (y.T @ x).T
-    return x.T @ y
+        return _product(y.T, x).T
+    return _product(x.T, y)
 
 
 def multihop(a: Tensor, u: Tensor, r: int, gate: Tensor | None = None) -> Tensor:
@@ -296,7 +296,7 @@ def multihop(a: Tensor, u: Tensor, r: int, gate: Tensor | None = None) -> Tensor
                 dgate = dgate + dh * ts[j]
                 dh = gate.data * dh + dh
             dts.append(dh)
-            carry = np.swapaxes(a.data, -1, -2) @ dh
+            carry = _product(np.swapaxes(a.data, -1, -2), dh)
         if _tracked(u):
             u._accumulate(carry)
         if gated and _tracked(gate):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import ctypes
 import time
 from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
@@ -100,26 +99,6 @@ def evaluate(model: HSMGNN, sset: SampleSet, batch_size: int = 64) -> MetricsRep
     return regression_metrics(preds, sset.labels)
 
 
-def _keep_freed_memory() -> None:
-    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 256 MiB, so that the
-    arrays a training step frees are reused by the next step instead of being returned to
-    the OS; a no-op where the C library has no `mallopt`.
-
-    glibc raises both thresholds by itself only after freeing a large mapped block, which
-    whole-set window copies used to provide. Left alone, the first sessions of the
-    `fd001_train` bench faulted on 3,627 and 2,350 pages per step (`ru_minflt` around each
-    step; a first touch of a 4 KiB page costs about 3 us) and took 35 ms a step instead of
-    27. With these thresholds no session faulted; an mmap threshold of 1 or 4 MiB left
-    `wide_n128` steps faulting on 3,100 to 4,400 pages (2-vCPU Xeon, one BLAS thread).
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-
-
 def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
           valid_set: SampleSet) -> tuple[HSMGNN, MetricsReport]:
     """Fit a model, retaining the best-validation parameters.
@@ -130,7 +109,6 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
     if len(train_set) == 0 or len(valid_set) == 0:
         raise ConfigError("empty training or validation set")
     start_time = time.perf_counter()
-    _keep_freed_memory()
     rng = np.random.default_rng(train_cfg.seed)
     model = HSMGNN(model_cfg, seed=train_cfg.seed)
     opt = Adam(model.params, lr=train_cfg.lr)
@@ -156,7 +134,6 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
             loss.backward()
             opt.step()
             opt.zero_grad()  # no gradient outlives its step: not in evaluate, nor in the model
-            del pred, loss  # frees the step's graph before the next forward
             epoch_losses.append(value)
             step += 1
         loss_curve.append(float(np.mean(epoch_losses)))

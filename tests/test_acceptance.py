@@ -207,8 +207,8 @@ def test_criterion_7_ablation_ordering():
 def test_criterion_8_complexity_contract(monkeypatch):
     def chains(n, m_q=32, m=8, m_d=16, z_s=3, f_s=8, eps=1e-6):
         """At N = n: the reference bilinear_query -> ndv -> refine_adjacency chain on a dense
-        (1, N, N, M) stack, and the chain the model runs on window factors (1, M, N, z_s),
-        factored_ndv -> refine_gate -> gated factored_multihop."""
+        (1, N, N, M) stack, and the chain the model runs on window factors (1, M, N, z_s) and
+        a block (1, N, W_p), factored_ndv -> refine_gate -> gated factored_multihop."""
         rng = np.random.default_rng(0)
         u = Tensor(rng.normal(size=(1, n, n, m)))
         a = Tensor(np.abs(rng.normal(size=(1, n, n))))
@@ -220,6 +220,7 @@ def test_criterion_8_complexity_contract(monkeypatch):
         w = Tensor(rng.normal(size=(1, m, n, z_s)))
         proj_w = Tensor(rng.normal(size=(n * m, f_s)))
         proj_b = Tensor(np.zeros(f_s))
+        p = Tensor(rng.normal(size=(1, n, m + z_s - 1)))
 
         def dense():
             q = adb.bilinear_query(u, bank)
@@ -228,7 +229,7 @@ def test_criterion_8_complexity_contract(monkeypatch):
 
         def factored():
             gate = adb.refine_gate(adb.factored_ndv(w, bank, w1, b1, w2, b2, eps))
-            fusion.factored_multihop(w, a, 2, proj_w, proj_b, eps, gate)
+            fusion.factored_multihop(p, a, 2, proj_w, proj_b, z_s, eps, gate)
         return {"dense": dense, "factored": factored}
 
     def median_seconds(chain, reps=100):

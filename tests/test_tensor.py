@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,41 @@ class TestMatmul:
         T.sum_all(out).backward()
         assert a.grad.shape == (4, 2, 3)
         assert b.grad.shape == (3, 5)
+
+
+def raw_products(source: str) -> list[int]:
+    """Lines of `source` that take a matrix product outside a function named `_product`:
+    an `@` or `@=`, any `.dot`, `.einsum`, `.tensordot` or `.multi_dot`, or `np.matmul`."""
+    tree = ast.parse(source)
+    ledger = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_product"
+              for node in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in ledger:
+            continue
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and (
+                node.attr in ("dot", "einsum", "tensordot", "multi_dot")
+                or node.attr == "matmul" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy") \
+                and {a.name for a in node.names} & {"matmul", "dot", "einsum", "tensordot"}:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_every_product_of_the_package_is_taken_in_product():
+    """`tensor._product` is the one place a matrix product is taken, forward or backward,
+    so that criterion 8's multiply-add count sees every product the model computes."""
+    package = Path(T.__file__).parent
+    found = {path.name: raw_products(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert raw_products("def _product(x, y):\n    return x @ y\n") == []
+    assert raw_products("def f(x, y):\n    return x @ y\n") == [2]
+    assert raw_products("y = np.matmul(a, b) + a.dot(b)\n") == [1, 1]
 
 
 class TestMatmulGradients:

@@ -152,17 +152,6 @@ class TestLazySets:
                              evaluate(model, fit).to_dict()))
         assert outcomes[0] == outcomes[1]
 
-    def test_train_runs_without_mallopt(self, monkeypatch):
-        import ctypes
-
-        def missing(*args, **kwargs):
-            raise OSError("no C library")
-
-        monkeypatch.setattr(ctypes, "CDLL", missing)
-        sset = synthetic_set()
-        _, report = train(tiny_cfg(), TrainConfig(batch_size=8, epochs=1), sset, sset)
-        assert np.isfinite(report.rmse)
-
 
 class TestAblation:
     def test_no_adb_census_lacks_bank(self):

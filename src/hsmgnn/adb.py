@@ -6,22 +6,22 @@ FFN that emits one sigmoid scaling factor per sensor, applied as a
 residual row rescaling. No eigen or Cholesky decomposition anywhere:
 everything is plain matrix multiplication.
 
-The model calls the factored forms, which never form U; the identities
-they use are stated in `scs`:
+Each stage has one function, and none forms U; the identities they use are
+stated in `scs`:
 
-- `factored_base_adjacency` forms Z Z^T from the feature blocks P
-  (B, N, W_p) and the constant K, with one (N, W_p) x (W_p, N) product; the
-  M eps^2 ridge goes on the diagonal inside the one `T.softmax_relu_rows`
-  node, so no N x N identity is made;
-- `factored_ndv` takes the window factors W (B, M, N, z_s) and the bilinear
-  query identity, or for N < M_q folds Xi into the FFN weights against a
+- `base_adjacency` forms Z Z^T from the feature blocks P (B, N, W_p) and the
+  constant K, with one (N, W_p) x (W_p, N) product; the M eps^2 ridge goes on
+  the diagonal inside the one `T.softmax_relu_rows` node, so no N x N
+  identity is made;
+- `ndv` takes the window factors W (B, M, N, z_s) and the bilinear query
+  identity, or for N < M_q folds Xi into the FFN weights against a
   (B, M, N, N) Gram stack;
 - the refined D A, D = diag(1 + alpha), is never formed: (D A)^j U is j rounds
-  of h <- D (A h), so `fusion.multihop_conv` rescales each hop by `refine_gate`,
-  inside the one node of the hop recursion.
+  of h <- D (A h), so `fusion.multihop_conv` rescales each hop by the gate
+  `refine_adjacency` returns, inside the one node of the hop recursion.
 
-`base_adjacency`, `ndv` of `bilinear_query` and `refine_adjacency` take the
-dense forms and are the reference definitions the factored forms must reproduce.
+The dense forms these reproduce, which build U, are the test suite's oracles
+(`tests/reference.py`).
 """
 
 from __future__ import annotations
@@ -34,20 +34,12 @@ from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
 
-def node_features(u_d: Tensor) -> Tensor:
-    """Flatten SPD slices (B, N, N, M) into per-node vectors (B, N, N*M)."""
-    b, n, n2, m = u_d.shape
-    return T.reshape(u_d, (b, n, n2 * m))
-
-
-def base_adjacency(u_d: Tensor) -> Tensor:
-    """softmax(relu(Z Z^T)) over flattened node features; rows sum to 1."""
-    z = node_features(u_d)
-    return T.softmax_rows(T.relu(T.matmul(z, T.transpose(z, (0, 2, 1)))))
-
-
 def bilinear_query(u_d: Tensor, bank: Tensor) -> Tensor:
-    """Per window slice: Xi^T U_m Xi. (B, N, N, M) -> (B, M_q, M_q, M)."""
+    """Per window slice: Xi^T U_m Xi. (B, N, N, M) -> (B, M_q, M_q, M).
+
+    `ndv` fuses this dense query, so the model never calls it and the benchmark probe's
+    `adb.query` reads 0; it stays here because the probe looks it up when a traced run starts.
+    """
     b, n, n2, m = u_d.shape
     if bank.shape[0] != n:
         raise ShapeError(f"memory bank rows {bank.shape} do not match N={n}")
@@ -57,8 +49,9 @@ def bilinear_query(u_d: Tensor, bank: Tensor) -> Tensor:
     return T.transpose(q, (0, 2, 3, 1))
 
 
-def factored_base_adjacency(p: Tensor, z_s: int, eps_spd: float) -> Tensor:
-    """`base_adjacency` of the window stack of blocks p (B, N, W_p), width z_s; (B, N, N)."""
+def base_adjacency(p: Tensor, z_s: int, eps_spd: float) -> Tensor:
+    """softmax(relu(Z Z^T)) for the window stack Z of blocks p (B, N, W_p), width z_s;
+    (B, N, N), rows sum to 1."""
     w_p = p.shape[2]
     c = scs.window_coverage(w_p, z_s)
     k = T.matmul(c, T.transpose(c, (1, 0)))                          # K = C C^T
@@ -68,12 +61,13 @@ def factored_base_adjacency(p: Tensor, z_s: int, eps_spd: float) -> Tensor:
     return T.softmax_relu_rows(scores, ridge=c.shape[1] * eps_spd ** 2)
 
 
-def factored_ndv(w: Tensor, bank: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-                 b2: Tensor, eps_spd: float) -> Tensor:
-    """`ndv` of the `bilinear_query` of the stack with factors w (B, M, N, z_s); (B, N).
+def ndv(w: Tensor, bank: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+        b2: Tensor, eps_spd: float) -> Tensor:
+    """Nonlinear distance vector of the stack with factors w (B, M, N, z_s); (B, N) in (0, 1).
 
-    Hidden unit d is sum_m <W1_{d,m}, Xi^T U_m Xi> + b1_d, W1_{d,m} its (M_q, M_q)
-    weights on slice m. <W1_{d,m}, Xi^T W_m W_m^T Xi> = <Xi W1_{d,m} Xi^T, W_m W_m^T>
+    affine -> relu -> affine -> sigmoid over the flattened query stack
+    Xi^T U_m Xi. Hidden unit d is sum_m <W1_{d,m}, Xi^T U_m Xi> + b1_d, W1_{d,m} its
+    (M_q, M_q) weights on slice m. <W1_{d,m}, Xi^T W_m W_m^T Xi> = <Xi W1_{d,m} Xi^T, W_m W_m^T>
     is taken on the smaller side, and eps <W1_{d,m}, Xi^T Xi> once per call.
     """
     b, m, n, _ = w.shape
@@ -95,27 +89,10 @@ def factored_ndv(w: Tensor, bank: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     return T.sigmoid(T.add(T.matmul(h, T.transpose(w2, (1, 0))), b2))
 
 
-def ndv(q: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Nonlinear distance vector from the query stack.
-
-    Flattens all window slices jointly, applies affine -> relu -> affine
-    -> sigmoid; output lies in (0, 1)^N.
-    """
-    b = q.shape[0]
-    flat = T.reshape(q, (b, q.size // b))
-    h = T.relu(T.add(T.matmul(flat, T.transpose(w1, (1, 0))), b1))
-    return T.sigmoid(T.add(T.matmul(h, T.transpose(w2, (1, 0))), b2))
-
-
-def refine_gate(alpha: Tensor) -> Tensor:
-    """The distance factors (B, N) as a (B, N, 1) row gate; negative factors are rejected."""
+def refine_adjacency(alpha: Tensor) -> Tensor:
+    """The refinement diag(1 + alpha) of the distance factors (B, N), as the (B, N, 1) row
+    gate alpha that the hop recursion applies as h + alpha * h. Rejects negative factors."""
     if (alpha.data < 0).any():
         raise ContractError("negative distance factors are not admissible")
     b, n = alpha.shape
     return T.reshape(alpha, (b, n, 1))
-
-
-def refine_adjacency(alpha: Tensor, a_base: Tensor) -> Tensor:
-    """Residual row rescaling: row i of the result is (1 + alpha_i) * row i."""
-    gate = refine_gate(alpha)
-    return T.add(T.mul(gate, a_base), a_base)

@@ -41,9 +41,11 @@ def load_run_config(path: str | None, overrides: list[str], seed: int | None) ->
     if path:
         p = Path(path)
         try:
-            cfg = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+            cfg = json.loads(p.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{p}: invalid JSON ({exc})") from None
+        if not isinstance(cfg, dict):
+            raise FormatError(f"{p}: expected a JSON object, got {json.dumps(cfg)[:40]}")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")

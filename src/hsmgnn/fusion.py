@@ -12,10 +12,11 @@ propagates f_s columns instead of the N*M columns of the flattened stack
 Z. It never forms Z either: it takes Z P_s from the feature blocks and the
 projection weights (the identity is stated in `scs`). The bias is added
 after propagation. `multihop_conv` followed by `branch_features` on the
-dense stack is the reference definition. The ADB refinement D A,
-D = diag(1 + alpha), enters the same way: (D A)^j U is j rounds of
-h <- D (A h), so the hop outputs are rescaled and D A is never formed.
-The whole hop recursion, gate included, is one node.
+dense stack of `tests/reference.py` is the reference definition. The ADB
+refinement D A, D = diag(1 + alpha), enters the same way: (D A)^j U is j
+rounds of h <- D (A h), so the hop outputs are rescaled by the gate that
+`adb.refine_adjacency` returns and D A is never formed. The whole hop
+recursion, gate included, is one node.
 """
 
 from __future__ import annotations

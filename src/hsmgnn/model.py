@@ -201,11 +201,11 @@ class HSMGNN:
 
         u_s = u_e = None
         if cfg.has_spd:
-            a_s = adb.factored_base_adjacency(p, cfg.z_s, cfg.eps_spd)
+            a_s = adb.base_adjacency(p, cfg.z_s, cfg.eps_spd)
             gate = None
             if cfg.has_adb:  # the gate rescales the hop outputs, so a_s is never refined
-                gate = adb.refine_gate(adb.factored_ndv(
-                    scs.window_factors(p, cfg.z_s), prm["adb.bank"], prm["adb.ffn_w1"],
+                gate = adb.refine_adjacency(adb.ndv(
+                    scs.window_covariance(p, cfg.z_s), prm["adb.bank"], prm["adb.ffn_w1"],
                     prm["adb.ffn_b1"], prm["adb.ffn_w2"], prm["adb.ffn_b2"], cfg.eps_spd))
             h_s = fusion.factored_multihop(p, a_s, cfg.r_s, prm["proj_s.w"], prm["proj_s.b"],
                                            cfg.z_s, cfg.eps_spd, gate)

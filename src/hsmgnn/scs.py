@@ -14,24 +14,22 @@ identities, with Z the (N, N*M) flattened stack and P_m the rows k*M + m
 of a projection P_s (N*M, F):
 
 - base adjacency: Z Z^T = sum_m U_m^2 = P (K . (P^T P + 2 eps I)) P^T
-  + M eps^2 I, with . the elementwise product (`adb.factored_base_adjacency`);
+  + M eps^2 I, with . the elementwise product (`adb.base_adjacency`);
 - projection: Z P_s = P R + eps sum_m P_m, where row t of R is p_t^T P~_t,
   p_t is column t of P and P~_t = sum_m C[t, m] P_m is built from the
   weights once per forward (`fusion.factored_multihop`);
 - bilinear query: Xi^T U_m Xi = (Xi^T W_m)(Xi^T W_m)^T + eps Xi^T Xi, on
-  the window factors W (`window_factors`), which the distance FFN alone
-  reads (`adb.factored_ndv`); it builds the (M, N, N) Gram stack of the W_m
+  the window factors W that `window_covariance` returns, which the distance
+  FFN alone reads (`adb.ndv`); it builds the (M, N, N) Gram stack of the W_m
   only when N < M_q, in place of the larger (M, M_q, M_q) query stack.
 
 The first two follow from W_m W_m^T = P diag(c_m) P^T, with c_m column m
 of C: summed over m, the diagonal masks become K or the rows of C.
-`window_covariance` builds the dense stack and is kept as the reference
-definition of the SPD embedding.
+The dense (B, N, N, M) stack is the test suite's reference definition of
+the SPD embedding, in `tests/reference.py`.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
@@ -60,25 +58,13 @@ def temporal_cnn(blocks: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor)
     return T.reshape(p, (b, n, p.shape[1], w_p))
 
 
-def window_factors(p_d: Tensor, z_s: int) -> Tensor:
-    """Stride-1 windows of width z_s as Gram factors: (B, N, W_p) -> (B, M, N, z_s)."""
-    return T.transpose(T.sliding_windows(p_d, z_s), (0, 2, 1, 3))
-
-
 def window_coverage(w_p: int, z_s: int) -> Tensor:
     """The constant (W_p, M) coverage of the width-z_s windows: C[t, m] = 1 if m <= t < m + z_s."""
     m = w_p - z_s + 1
     return Tensor(T._shift_matrix(w_p, m, 0).reshape(w_p, m, z_s).sum(axis=2))
 
 
-def window_covariance(p_d: Tensor, z_s: int, eps_spd: float) -> Tensor:
-    """Sliding-window Gram matrices: (B, N, W_p) -> (B, N, N, M).
-
-    Each stride-1 window W of width z_s contributes W W^T + eps*I, which
-    is symmetric by construction and strictly positive definite.
-    """
-    w = window_factors(p_d, z_s)
-    u = T.matmul(w, T.transpose(w, (0, 1, 3, 2)))
-    u = T.add(u, Tensor(eps_spd * np.eye(w.shape[2])))
-    return T.transpose(u, (0, 2, 3, 1))
-
+def window_covariance(p_d: Tensor, z_s: int) -> Tensor:
+    """The covariance stack of blocks (B, N, W_p) in factored form: the stride-1 windows of
+    width z_s as Gram factors W_m, (B, M, N, z_s). U_m = W_m W_m^T + eps*I is never formed."""
+    return T.transpose(T.sliding_windows(p_d, z_s), (0, 2, 1, 3))

@@ -30,8 +30,9 @@ Two ops on the model's (N, N) graphs have a backward of their own, because
 the composition they replace holds whole N x N arrays that theirs does not:
 `softmax_relu_rows` keeps no relu output and adds no ridge constant, and
 `multihop` forms A's gradient as one product instead of r products and
-r - 1 sums. Each computes the forward of its composition bit for bit;
-`softmax_rows`, `relu`, `matmul`, `mul` and `add` stay as the oracles.
+r - 1 sums. Each computes the forward of its composition bit for bit:
+`relu`, `matmul`, `mul`, `add` and the plain row softmax of
+`tests/reference.py` are the oracles.
 
 No operation here performs an eigenvalue or Cholesky decomposition.
 """
@@ -195,24 +196,9 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax over the last axis, max-shifted for stability."""
-    data = a.data - a.data.max(axis=-1, keepdims=True)
-    np.exp(data, out=data)
-    data /= data.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        grad = g * data
-        np.subtract(g, grad.sum(axis=-1, keepdims=True), out=grad)
-        grad *= data
-        a._accumulate(grad)
-
-    return _make(data, (a,), backward)
-
-
 def softmax_relu_rows(a: Tensor, ridge: float = 0.0) -> Tensor:
-    """`softmax_rows(relu(a + ridge*I))` as one node, bit for bit; the ridge goes on the diagonal
-    of the last two axes, so no (N, N) constant is made."""
+    """Softmax over the last axis, max-shifted, of relu(a + ridge*I), as one node; the ridge
+    goes on the diagonal of the last two axes, so no (N, N) constant is made."""
     data = a.data.copy()
     if ridge:
         data.reshape(data.shape[:-2] + (-1,))[..., ::data.shape[-1] + 1] += ridge

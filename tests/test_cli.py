@@ -226,6 +226,21 @@ class TestTrainEval:
 
 
 class TestMalformedInput:
+    @pytest.mark.parametrize("text", ["5", "[[1]]"])
+    def test_config_that_is_not_an_object_exit_two(self, tmp_path, toy_data, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["train", "--config", str(bad), "--data", str(toy_data),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: expected a JSON object, got {text}\n"
+
+    def test_config_that_is_not_utf8_exit_two(self, tmp_path, toy_data, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert main(["train", "--config", str(bad), "--data", str(toy_data),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON (")
+
     def test_truncated_data_exit_two(self, tmp_path, toy_data, config_file):
         cut = tmp_path / "cut.mtsd"
         cut.write_bytes(toy_data.read_bytes()[:20])

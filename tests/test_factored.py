@@ -1,14 +1,17 @@
 """The batched, factored forward pass against the per-block dense reference.
 
 The model runs every feature block of a batch as one (B*K, N, W_p) batch,
-and runs the SPD branch on the blocks themselves (the distance FFN on their
-window factors) without forming the (B, N, N, M) stack. `dense_forward` is
-the independent oracle: it loops over the blocks (the D CNN blocks, or the
-L raw blocks of `no-scs`), composes the dense
-reference stages (`window_covariance`, `base_adjacency`, `bilinear_query`,
-`node_features`, `multihop_conv`, `branch_features`) block by block and
-combines the blocks with `T.concat`. The model must reproduce its
-predictions and every parameter gradient.
+and runs the SPD branch on the blocks themselves (the distance FFN on the
+window factors of `scs.window_covariance`) without forming the (B, N, N, M)
+stack. Its stages are `adb.base_adjacency`, `adb.ndv`, `adb.refine_adjacency`
+and `fusion.factored_multihop`. `dense_forward` is the independent oracle: it
+loops over the blocks (the D CNN blocks, or the L raw blocks of `no-scs`),
+composes the dense reference stages of `tests/reference.py`
+(`window_covariance`, `base_adjacency`, `node_features`, `ndv`,
+`refine_adjacency`) with `adb.bilinear_query`, `fusion.multihop_conv` and
+`fusion.branch_features` block by block, and combines the blocks with
+`T.concat`. The model must reproduce its predictions and every parameter
+gradient.
 """
 
 import tracemalloc
@@ -17,6 +20,7 @@ import weakref
 import numpy as np
 import pytest
 
+import reference
 from hsmgnn import HSMGNN, ModelConfig, ablate
 from hsmgnn import adb, fusion, scs
 from hsmgnn import tensor as T
@@ -39,14 +43,14 @@ def dense_forward(model: HSMGNN, x: np.ndarray) -> Tensor:
     for d in range(blocks.shape[2]):
         p_d = T.reshape(T.slice_axis(blocks, 2, d, 1), (b, cfg.n, cfg.w_p))
         if cfg.has_spd:
-            u_d = scs.window_covariance(p_d, cfg.z_s, cfg.eps_spd)
-            a_s = adb.base_adjacency(u_d)
+            u_d = reference.window_covariance(p_d, cfg.z_s, cfg.eps_spd)
+            a_s = reference.base_adjacency(u_d)
             if cfg.has_adb:
                 q = adb.bilinear_query(u_d, prm["adb.bank"])
-                alpha = adb.ndv(q, prm["adb.ffn_w1"], prm["adb.ffn_b1"],
-                                prm["adb.ffn_w2"], prm["adb.ffn_b2"])
-                a_s = adb.refine_adjacency(alpha, a_s)
-            h_s = fusion.multihop_conv(adb.node_features(u_d), a_s, cfg.r_s)
+                alpha = reference.ndv(q, prm["adb.ffn_w1"], prm["adb.ffn_b1"],
+                                      prm["adb.ffn_w2"], prm["adb.ffn_b2"])
+                a_s = reference.refine_adjacency(alpha, a_s)
+            h_s = fusion.multihop_conv(reference.node_features(u_d), a_s, cfg.r_s)
             h_s = fusion.branch_features(h_s, prm["proj_s.w"], prm["proj_s.b"])
             spd_blocks.append(T.reshape(h_s, (b, cfg.n * cfg.f_s)))
         if cfg.has_euclid:
@@ -93,14 +97,14 @@ def test_factored_stages_match_dense_stages(n):
     p_d = Tensor(rng.normal(size=(2, n, 10)))
     proj_w = Tensor(rng.normal(size=(n * 8, 5)))
     proj_b = Tensor(rng.normal(size=5))
-    u = scs.window_covariance(p_d, z_s, eps)
-    w = scs.window_factors(p_d, z_s)
+    u = reference.window_covariance(p_d, z_s, eps)
+    w = scs.window_covariance(p_d, z_s)
     assert w.shape == (2, 8, n, z_s)
 
-    a = adb.factored_base_adjacency(p_d, z_s, eps)
-    assert rel_diff(a.data, adb.base_adjacency(u).data) < RTOL
+    a = adb.base_adjacency(p_d, z_s, eps)
+    assert rel_diff(a.data, reference.base_adjacency(u).data) < RTOL
     feats = fusion.factored_multihop(p_d, a, 2, proj_w, proj_b, z_s, eps)
-    dense = fusion.branch_features(fusion.multihop_conv(adb.node_features(u), a, 2),
+    dense = fusion.branch_features(fusion.multihop_conv(reference.node_features(u), a, 2),
                                    proj_w, proj_b)
     assert rel_diff(feats.data, dense.data) < RTOL
 
@@ -113,11 +117,11 @@ def test_coverage_stages_match_dense_stages_at_the_window_extremes(z_s):
     p_d = Tensor(rng.normal(size=(2, n, 10)))
     m = 10 - z_s + 1
     proj_w, proj_b = Tensor(rng.normal(size=(n * m, 4))), Tensor(rng.normal(size=4))
-    u = scs.window_covariance(p_d, z_s, eps)
-    a = adb.factored_base_adjacency(p_d, z_s, eps)
-    assert rel_diff(a.data, adb.base_adjacency(u).data) < RTOL
+    u = reference.window_covariance(p_d, z_s, eps)
+    a = adb.base_adjacency(p_d, z_s, eps)
+    assert rel_diff(a.data, reference.base_adjacency(u).data) < RTOL
     feats = fusion.factored_multihop(p_d, a, 1, proj_w, proj_b, z_s, eps)
-    dense = fusion.branch_features(fusion.multihop_conv(adb.node_features(u), a, 1),
+    dense = fusion.branch_features(fusion.multihop_conv(reference.node_features(u), a, 1),
                                    proj_w, proj_b)
     assert rel_diff(feats.data, dense.data) < RTOL
 
@@ -142,21 +146,21 @@ def test_factored_ndv_matches_dense_query_and_ndv(n):
         return alpha.data, {k: v.grad.copy() for k, v in leaves.items()}
 
     got, grads = output_and_grads(
-        adb.factored_ndv(scs.window_factors(p_d, z_s), bank, w1, b1, w2, b2, eps))
-    q = adb.bilinear_query(scs.window_covariance(p_d, z_s, eps), bank)
-    ref, ref_grads = output_and_grads(adb.ndv(q, w1, b1, w2, b2))
+        adb.ndv(scs.window_covariance(p_d, z_s), bank, w1, b1, w2, b2, eps))
+    q = adb.bilinear_query(reference.window_covariance(p_d, z_s, eps), bank)
+    ref, ref_grads = output_and_grads(reference.ndv(q, w1, b1, w2, b2))
     assert rel_diff(got, ref) < RTOL
     for name, ref_grad in ref_grads.items():
         assert np.any(ref_grad != 0.0), name
         assert rel_diff(grads[name], ref_grad) < RTOL, name
     with pytest.raises(ShapeError):
-        adb.factored_ndv(scs.window_factors(p_d, z_s), leaf(n + 1, m_q), w1, b1, w2, b2, eps)
+        adb.ndv(scs.window_covariance(p_d, z_s), leaf(n + 1, m_q), w1, b1, w2, b2, eps)
 
 
 def test_window_factors_rebuild_the_covariance_stack():
     rng = np.random.default_rng(0)
     p = rng.normal(size=(2, 4, 6))
-    u = scs.window_covariance(Tensor(p), 3, 1e-6).data
+    u = reference.window_covariance(Tensor(p), 3, 1e-6).data
     for m in range(4):
         win = p[:, :, m:m + 3]
         expected = win @ win.transpose(0, 2, 1) + 1e-6 * np.eye(4)
@@ -218,15 +222,38 @@ def test_op_nodes_per_training_step(variant, limit):
     assert ops <= limit, f"{ops} op nodes per step, limit {limit}"
 
 
+@pytest.mark.parametrize("variant,n,b,limit", [
+    ("complete", 14, 32, 43_476_000), ("no-scs", 14, 32, 5_894_400),
+    ("no-adb", 14, 32, 23_084_064), ("no-fgcn", 14, 32, 14_891_040),
+    ("complete", 128, 8, 165_746_208),
+])
+def test_multiply_adds_per_training_step(variant, n, b, limit, monkeypatch):
+    """Every product of a step's forward and backward goes through `T._product`, so its
+    multiply-adds are a deterministic ledger: an added product fails here, at any speed."""
+    total, product = 0, T._product
+
+    def counted(x, y):
+        nonlocal total
+        out = product(x, y)
+        total += out.size * x.shape[-1]
+        return out
+
+    monkeypatch.setattr(T, "_product", counted)
+    model = HSMGNN(ModelConfig(n=n, t=30, variant=variant), seed=0)
+    x = np.random.default_rng(0).normal(size=(b, n, 30))
+    model.loss(model.forward(x), np.ones(b)).backward()
+    assert total <= limit, f"{total:,} multiply-adds per step, limit {limit:,}"
+
+
 @pytest.mark.parametrize("variant,calls", [("complete", 1), ("no-scs", 0),
                                            ("no-adb", 0), ("no-fgcn", 0)])
 def test_only_the_distance_ffn_builds_window_factors(variant, calls, monkeypatch):
     """The base adjacency and the projection read the blocks: the window factors are built
-    once, for `factored_ndv`, and never without the ADB."""
+    once, by `scs.window_covariance` for `adb.ndv`, and never without the ADB."""
     built = []
-    window_factors = scs.window_factors
-    monkeypatch.setattr(scs, "window_factors",
-                        lambda *args: built.append(args) or window_factors(*args))
+    window_covariance = scs.window_covariance
+    monkeypatch.setattr(scs, "window_covariance",
+                        lambda *args: built.append(args) or window_covariance(*args))
     HSMGNN(ModelConfig(n=5, t=30, variant=variant), seed=0).forward(np.zeros((2, 5, 30)))
     assert len(built) == calls
 
@@ -313,7 +340,7 @@ def test_negative_distance_factors_stop_the_forward_pass(monkeypatch):
     """The model gates the hop outputs with alpha and rejects alpha < 0, as
     `refine_adjacency` does."""
     model = HSMGNN(ModelConfig(n=4, t=30), seed=0)
-    monkeypatch.setattr(adb, "factored_ndv",
+    monkeypatch.setattr(adb, "ndv",
                         lambda w, *rest: Tensor(-np.ones((w.shape[0], w.shape[2]))))
     with pytest.raises(ContractError, match="negative distance factors"):
         model.forward(np.zeros((2, 4, 30)))

@@ -6,16 +6,15 @@ FFN that emits one sigmoid scaling factor per sensor, applied as a
 residual row rescaling. No eigen or Cholesky decomposition anywhere:
 everything is plain matrix multiplication.
 
-Each stage has one function, and none forms U; the identities they use are
-stated in `scs`:
+Each stage has one function; the identities they use are stated in `scs`:
 
 - `base_adjacency` forms Z Z^T from the feature blocks P (B, N, W_p) and the
   constant K, with one (N, W_p) x (W_p, N) product; the M eps^2 ridge goes on
   the diagonal inside the one `T.softmax_relu_rows` node, so no N x N
   identity is made;
-- `ndv` takes the window factors W (B, M, N, z_s) and the bilinear query
-  identity, or for N < M_q folds Xi into the FFN weights against a
-  (B, M, N, N) Gram stack;
+- `ndv` reads the window factors W (B, M, N, z_s) through
+  <W1_{d,m}, Xi^T U_m Xi> = <Xi W1_{d,m} Xi^T, U_m>: for N < M_q against the
+  (B, M, N, N) slices U_m, otherwise against the query stack of `bilinear_query`;
 - the refined D A, D = diag(1 + alpha), is never formed: (D A)^j U is j rounds
   of h <- D (A h), so `fusion.multihop_conv` rescales each hop by the gate
   `refine_adjacency` returns, inside the one node of the hop recursion.
@@ -30,23 +29,8 @@ import numpy as np
 
 from . import scs
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .tensor import Tensor
-
-
-def bilinear_query(u_d: Tensor, bank: Tensor) -> Tensor:
-    """Per window slice: Xi^T U_m Xi. (B, N, N, M) -> (B, M_q, M_q, M).
-
-    `ndv` fuses this dense query, so the model never calls it and the benchmark probe's
-    `adb.query` reads 0; it stays here because the probe looks it up when a traced run starts.
-    """
-    b, n, n2, m = u_d.shape
-    if bank.shape[0] != n:
-        raise ShapeError(f"memory bank rows {bank.shape} do not match N={n}")
-    u = T.transpose(u_d, (0, 3, 1, 2))          # (B, M, N, N)
-    right = T.matmul(u, bank)                   # (B, M, N, M_q)
-    q = T.matmul(T.transpose(bank, (1, 0)), right)  # (B, M, M_q, M_q)
-    return T.transpose(q, (0, 2, 3, 1))
 
 
 def base_adjacency(p: Tensor, z_s: int, eps_spd: float) -> Tensor:
@@ -61,31 +45,37 @@ def base_adjacency(p: Tensor, z_s: int, eps_spd: float) -> Tensor:
     return T.softmax_relu_rows(scores, ridge=c.shape[1] * eps_spd ** 2)
 
 
+def bilinear_query(w: Tensor, bank: Tensor, eps_spd: float) -> Tensor:
+    """The memory-bank query Xi^T U_m Xi = (Xi^T W_m)(W_m^T Xi) + eps Xi^T Xi of the stack with
+    factors w (B, M, N, z_s), for the bank Xi (N, M_q): (B, M, M_q, M_q). Both factors are
+    products, so that numpy multiplies contiguous arrays."""
+    bank_t = T.transpose(bank, (1, 0))
+    stack = T.matmul(T.matmul(bank_t, w), T.matmul(T.transpose(w, (0, 1, 3, 2)), bank))
+    return T.add(stack, T.mul(T.matmul(bank_t, bank), Tensor(eps_spd)))
+
+
 def ndv(w: Tensor, bank: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
         b2: Tensor, eps_spd: float) -> Tensor:
     """Nonlinear distance vector of the stack with factors w (B, M, N, z_s); (B, N) in (0, 1).
 
     affine -> relu -> affine -> sigmoid over the flattened query stack
     Xi^T U_m Xi. Hidden unit d is sum_m <W1_{d,m}, Xi^T U_m Xi> + b1_d, W1_{d,m} its
-    (M_q, M_q) weights on slice m. <W1_{d,m}, Xi^T W_m W_m^T Xi> = <Xi W1_{d,m} Xi^T, W_m W_m^T>
-    is taken on the smaller side, and eps <W1_{d,m}, Xi^T Xi> once per call.
+    (M_q, M_q) weights on slice m; <W1_{d,m}, Xi^T U_m Xi> = <Xi W1_{d,m} Xi^T, U_m> is taken
+    on the smaller side.
     """
     b, m, n, _ = w.shape
     m_d, m_q = w1.shape[0], bank.shape[1]  # a bank without N rows fails a product
-    bank_t, w_t = T.transpose(bank, (1, 0)), T.transpose(w, (0, 1, 3, 2))
-    w1_q = T.reshape(w1, (m_d, m_q, m_q, m))         # the column order of the flat query
-    xi_gram = T.reshape(T.mul(T.matmul(bank_t, bank), Tensor(eps_spd)), (m_q * m_q, 1))
-    ridge = T.matmul(T.reshape(T.sum_axis(w1_q, 3), (m_d, m_q * m_q)), xi_gram)
-    w1_q = T.transpose(w1_q, (0, 3, 1, 2))           # (m_d, M, M_q, M_q)
+    # the column order of the flat query, read as (m_d, M, M_q, M_q)
+    w1_q = T.transpose(T.reshape(w1, (m_d, m_q, m_q, m)), (0, 3, 1, 2))
     if n < m_q:  # per block, M N^2 (z_s + m_d) flops here against M M_q^2 (z_s + m_d)
-        stack = T.matmul(w, w_t)                                     # (B, M, N, N)
-        weight = T.matmul(T.matmul(bank, w1_q), bank_t)              # (m_d, M, N, N)
-    else:  # both factors of V V^T as products, so that numpy multiplies contiguous arrays
-        stack = T.matmul(T.matmul(bank_t, w), T.matmul(w_t, bank))   # (B, M, M_q, M_q)
-        weight = w1_q
+        stack = T.add(T.matmul(w, T.transpose(w, (0, 1, 3, 2))),
+                      Tensor(eps_spd * np.eye(n)))                   # U_m, (B, M, N, N)
+        weight = T.matmul(T.matmul(bank, w1_q), T.transpose(bank, (1, 0)))  # (m_d, M, N, N)
+    else:
+        stack, weight = bilinear_query(w, bank, eps_spd), w1_q
     flat = T.reshape(stack, (b, -1))
     h = T.matmul(flat, T.transpose(T.reshape(weight, (m_d, -1)), (1, 0)))
-    h = T.relu(T.add(T.add(h, T.reshape(ridge, (m_d,))), b1))
+    h = T.relu(T.add(h, b1))
     return T.sigmoid(T.add(T.matmul(h, T.transpose(w2, (1, 0))), b2))
 
 

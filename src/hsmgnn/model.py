@@ -102,6 +102,10 @@ class ModelConfig:
             raise ConfigError(f"kernel must be odd, got {self.kernel}")
         if self.eps_spd <= 0:
             raise ConfigError(f"eps_spd must be positive, got {self.eps_spd}")
+        if not math.isfinite(self.num_windows * (self.eps_spd * self.eps_spd)):
+            bound = math.sqrt(np.finfo(float).max / self.num_windows)
+            raise ConfigError(f"eps_spd must be below {bound:.4g}, so that the ridge "
+                              f"num_windows * eps_spd**2 is finite, got {self.eps_spd}")
         if self.w_s < 0 or self.w_e < 0:
             raise ConfigError("fusion weights must be non-negative")
 

@@ -9,19 +9,22 @@ Every Gram slice is U_m = W_m W_m^T + eps*I, where the window factor W_m
 is the (N, z_s) stride-1 window m of a feature block P (N, W_p). Let C be
 the constant (W_p, M) 0/1 matrix with C[t, m] = 1 where window m covers
 step t (`window_coverage`), and K = C C^T, which counts the windows that
-cover both t and s. The model never forms a U_m; it uses three exact
-identities, with Z the (N, N*M) flattened stack and P_m the rows k*M + m
-of a projection P_s (N*M, F):
+cover both t and s. The model forms the U_m only in the distance FFN, at
+N < M_q (the third identity below). It uses three exact identities, with
+Z the (N, N*M) flattened stack and P_m the rows k*M + m of a projection
+P_s (N*M, F):
 
 - base adjacency: Z Z^T = sum_m U_m^2 = P (K . (P^T P + 2 eps I)) P^T
   + M eps^2 I, with . the elementwise product (`adb.base_adjacency`);
 - projection: Z P_s = P R + eps sum_m P_m, where row t of R is p_t^T P~_t,
   p_t is column t of P and P~_t = sum_m C[t, m] P_m is built from the
   weights once per forward (`fusion.factored_multihop`);
-- bilinear query: Xi^T U_m Xi = (Xi^T W_m)(Xi^T W_m)^T + eps Xi^T Xi, on
-  the window factors W that `window_covariance` returns, which the distance
-  FFN alone reads (`adb.ndv`); it builds the (M, N, N) Gram stack of the W_m
-  only when N < M_q, in place of the larger (M, M_q, M_q) query stack.
+- bilinear query: Xi^T U_m Xi = (Xi^T W_m)(W_m^T Xi) + eps Xi^T Xi, on the
+  window factors W that `window_covariance` returns (`adb.bilinear_query`).
+  The distance FFN alone reads W (`adb.ndv`). It weighs the query by W1
+  through <W1_{d,m}, Xi^T U_m Xi> = <Xi W1_{d,m} Xi^T, U_m>, so when
+  N < M_q it reads the (M, N, N) slices U_m = W_m W_m^T + eps I in place of
+  the larger (M, M_q, M_q) query stack.
 
 The first two follow from W_m W_m^T = P diag(c_m) P^T, with c_m column m
 of C: summed over m, the diagonal masks become K or the rows of C.
@@ -66,5 +69,5 @@ def window_coverage(w_p: int, z_s: int) -> Tensor:
 
 def window_covariance(p_d: Tensor, z_s: int) -> Tensor:
     """The covariance stack of blocks (B, N, W_p) in factored form: the stride-1 windows of
-    width z_s as Gram factors W_m, (B, M, N, z_s). U_m = W_m W_m^T + eps*I is never formed."""
+    width z_s as Gram factors W_m, (B, M, N, z_s), of the slices U_m = W_m W_m^T + eps*I."""
     return T.transpose(T.sliding_windows(p_d, z_s), (0, 2, 1, 3))

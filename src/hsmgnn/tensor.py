@@ -204,7 +204,6 @@ def softmax_relu_rows(a: Tensor, ridge: float = 0.0) -> Tensor:
         data.reshape(data.shape[:-2] + (-1,))[..., ::data.shape[-1] + 1] += ridge
     positive = data > 0.0
     np.fmax(data, 0.0, out=data)
-    data += 0.0  # as in relu: -0.0 -> +0.0
     data -= data.max(axis=-1, keepdims=True)
     np.exp(data, out=data)
     data /= data.sum(axis=-1, keepdims=True)

@@ -7,8 +7,6 @@ each stage from it as the paper defines it. The tests use them as independent
 oracles for the production stages: `dense_forward` in `test_factored.py`
 composes them block by block, and the model must reproduce its predictions and
 gradients.
-
-`adb.bilinear_query` is the dense query these compose; it stays in the package.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ import numpy as np
 
 from hsmgnn import adb, scs
 from hsmgnn import tensor as T
+from hsmgnn.errors import ShapeError
 from hsmgnn.tensor import Tensor
 
 
@@ -57,6 +56,17 @@ def base_adjacency(u_d: Tensor) -> Tensor:
     """softmax(relu(Z Z^T)) over flattened node features; rows sum to 1."""
     z = node_features(u_d)
     return softmax_rows(T.relu(T.matmul(z, T.transpose(z, (0, 2, 1)))))
+
+
+def bilinear_query(u_d: Tensor, bank: Tensor) -> Tensor:
+    """Per window slice: Xi^T U_m Xi. (B, N, N, M) -> (B, M_q, M_q, M)."""
+    b, n, n2, m = u_d.shape
+    if bank.shape[0] != n:
+        raise ShapeError(f"memory bank rows {bank.shape} do not match N={n}")
+    u = T.transpose(u_d, (0, 3, 1, 2))          # (B, M, N, N)
+    right = T.matmul(u, bank)                   # (B, M, N, M_q)
+    q = T.matmul(T.transpose(bank, (1, 0)), right)  # (B, M, M_q, M_q)
+    return T.transpose(q, (0, 2, 3, 1))
 
 
 def ndv(q: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

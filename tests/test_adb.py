@@ -3,7 +3,7 @@ import pytest
 
 import reference
 from conftest import max_rel_err, numeric_grad
-from hsmgnn import adb
+from hsmgnn import adb, scs
 from hsmgnn import tensor as T
 from hsmgnn.errors import ContractError, ShapeError
 from hsmgnn.tensor import Tensor
@@ -42,23 +42,47 @@ class TestBilinearQuery:
     def test_identity_bank_returns_input(self):
         rng = np.random.default_rng(2)
         u = rng.normal(size=(1, 3, 3, 2))
-        q = adb.bilinear_query(Tensor(u), Tensor(np.eye(3)))
+        q = reference.bilinear_query(Tensor(u), Tensor(np.eye(3)))
         assert np.allclose(q.data, u, atol=1e-14)
 
     def test_zero_bank(self):
-        q = adb.bilinear_query(Tensor(np.ones((1, 3, 3, 2))), Tensor(np.zeros((3, 2))))
+        q = reference.bilinear_query(Tensor(np.ones((1, 3, 3, 2))), Tensor(np.zeros((3, 2))))
         assert np.array_equal(q.data, np.zeros((1, 2, 2, 2)))
 
     def test_symmetry_preserved(self):
         rng = np.random.default_rng(3)
         base = rng.normal(size=(1, 4, 4, 3))
         u = base + base.transpose(0, 2, 1, 3)
-        q = adb.bilinear_query(Tensor(u), Tensor(rng.normal(size=(4, 2)))).data
+        q = reference.bilinear_query(Tensor(u), Tensor(rng.normal(size=(4, 2)))).data
         assert np.max(np.abs(q - q.transpose(0, 2, 1, 3))) < 1e-12
 
     def test_bank_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            adb.bilinear_query(Tensor(np.zeros((1, 3, 3, 2))), Tensor(np.zeros((4, 2))))
+            reference.bilinear_query(Tensor(np.zeros((1, 3, 3, 2))), Tensor(np.zeros((4, 2))))
+        with pytest.raises(ShapeError):
+            adb.bilinear_query(Tensor(np.zeros((1, 2, 3, 2))), Tensor(np.zeros((4, 2))), 0.1)
+
+    @pytest.mark.parametrize("n,m_q", [(4, 5), (5, 5), (6, 5)])
+    def test_factored_query_matches_the_dense_query_on_the_ridged_slices(self, n, m_q):
+        """Xi^T U_m Xi from the window factors equals the dense query on U = W W^T + eps I,
+        forward and backward; eps is large so that the ridge term shows."""
+        rng = np.random.default_rng(n)
+        eps, z_s = 0.5, 3
+        p_d = Tensor(rng.normal(size=(2, n, 10)), requires_grad=True)
+        bank = Tensor(rng.normal(size=(n, m_q)), requires_grad=True)
+        weights = rng.normal(size=(2, 8, m_q, m_q))  # (B, M, M_q, M_q), the factored layout
+
+        def output_and_grads(q):
+            p_d.zero_grad()
+            bank.zero_grad()
+            T.sum_all(T.mul(q, Tensor(weights))).backward()
+            return q.data, p_d.grad.copy(), bank.grad.copy()
+
+        got = output_and_grads(adb.bilinear_query(scs.window_covariance(p_d, z_s), bank, eps))
+        dense = reference.bilinear_query(reference.window_covariance(p_d, z_s, eps), bank)
+        ref = output_and_grads(T.transpose(dense, (0, 3, 1, 2)))
+        for a, b in zip(got, ref):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 class TestNdv:
@@ -128,7 +152,7 @@ class TestGradientFlow:
 
         def forward():
             a0 = reference.base_adjacency(u)
-            alpha = reference.ndv(adb.bilinear_query(u, bank), w1, b1, w2, b2)
+            alpha = reference.ndv(reference.bilinear_query(u, bank), w1, b1, w2, b2)
             return T.sum_all(T.mul(reference.refine_adjacency(alpha, a0), Tensor(weights)))
 
         forward().backward()

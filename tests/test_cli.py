@@ -241,6 +241,13 @@ class TestMalformedInput:
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON (")
 
+    def test_eps_spd_whose_ridge_overflows_exit_two(self, tmp_path, toy_data, config_file,
+                                                    capsys):
+        assert main(["train", "--config", str(config_file), "--data", str(toy_data),
+                     "--out", str(tmp_path / "o"), "--set", "eps_spd=1e300"]) == 2
+        err = capsys.readouterr().err
+        assert "eps_spd must be below" in err and "Traceback" not in err
+
     def test_truncated_data_exit_two(self, tmp_path, toy_data, config_file):
         cut = tmp_path / "cut.mtsd"
         cut.write_bytes(toy_data.read_bytes()[:20])

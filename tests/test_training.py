@@ -1,3 +1,7 @@
+import math
+import re
+import sys
+
 import numpy as np
 import pytest
 
@@ -247,6 +251,16 @@ class TestModelConfig:
     def test_round_trip(self):
         cfg = tiny_cfg(w_s=0.2, w_e=0.8)
         assert ModelConfig(**cfg.to_dict()) == cfg
+
+    def test_eps_spd_with_an_infinite_ridge_is_rejected(self):
+        """The base adjacency adds num_windows * eps_spd**2 to the diagonal; at TINY's
+        num_windows = 3 the largest admissible eps_spd is sqrt(max_float / 3)."""
+        bound = math.sqrt(sys.float_info.max / tiny_cfg().num_windows)
+        assert tiny_cfg(eps_spd=0.99 * bound).eps_spd == 0.99 * bound
+        message = re.escape(f"eps_spd must be below {bound:.4g},")
+        for eps in (1.01 * bound, 1e300):
+            with pytest.raises(ConfigError, match=message):
+                tiny_cfg(eps_spd=eps)
 
     def test_checkpoint_round_trip(self, tmp_path):
         model = HSMGNN(tiny_cfg(), seed=3)

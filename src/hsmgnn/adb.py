@@ -9,12 +9,11 @@ everything is plain matrix multiplication.
 Each stage has one function; the identities they use are stated in `scs`:
 
 - `base_adjacency` forms Z Z^T from the feature blocks P (B, N, W_p) and the
-  constant K, with one (N, W_p) x (W_p, N) product; the M eps^2 ridge goes on
-  the diagonal inside the one `T.softmax_relu_rows` node, so no N x N
-  identity is made;
+  `T.gram` nodes P^T P + 2 eps I and K = C C^T, with one (N, W_p) x (W_p, N)
+  product; the M eps^2 ridge goes on the diagonal inside `T.softmax_relu_rows`;
 - `ndv` reads the window factors W (B, M, N, z_s) through
   <W1_{d,m}, Xi^T U_m Xi> = <Xi W1_{d,m} Xi^T, U_m>: for N < M_q against the
-  (B, M, N, N) slices U_m, otherwise against the query stack of `bilinear_query`;
+  (B, M, N, N) slices U_m, one `T.gram` node, otherwise against `bilinear_query`;
 - the refined D A, D = diag(1 + alpha), is never formed: (D A)^j U is j rounds
   of h <- D (A h), so `fusion.multihop_conv` rescales each hop by the gate
   `refine_adjacency` returns, inside the one node of the hop recursion.
@@ -25,8 +24,6 @@ The dense forms these reproduce, which build U, are the test suite's oracles
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import scs
 from . import tensor as T
 from .errors import ContractError
@@ -36,22 +33,19 @@ from .tensor import Tensor
 def base_adjacency(p: Tensor, z_s: int, eps_spd: float) -> Tensor:
     """softmax(relu(Z Z^T)) for the window stack Z of blocks p (B, N, W_p), width z_s;
     (B, N, N), rows sum to 1."""
-    w_p = p.shape[2]
-    c = scs.window_coverage(w_p, z_s)
-    k = T.matmul(c, T.transpose(c, (1, 0)))                          # K = C C^T
+    c = scs.window_coverage(p.shape[2], z_s)
     p_t = T.transpose(p, (0, 2, 1))
-    gram = T.mul(T.add(T.matmul(p_t, p), Tensor(2.0 * eps_spd * np.eye(w_p))), k)
+    gram = T.mul(T.gram(p_t, 2.0 * eps_spd), T.gram(c))              # K = C C^T
     scores = T.matmul(T.matmul(p, gram), p_t)
     return T.softmax_relu_rows(scores, ridge=c.shape[1] * eps_spd ** 2)
 
 
 def bilinear_query(w: Tensor, bank: Tensor, eps_spd: float) -> Tensor:
-    """The memory-bank query Xi^T U_m Xi = (Xi^T W_m)(W_m^T Xi) + eps Xi^T Xi of the stack with
-    factors w (B, M, N, z_s), for the bank Xi (N, M_q): (B, M, M_q, M_q). Both factors are
-    products, so that numpy multiplies contiguous arrays."""
+    """The memory-bank query Xi^T U_m Xi = V_m V_m^T + eps Xi^T Xi, V_m = Xi^T W_m, of the stack
+    with factors w (B, M, N, z_s), for the bank Xi (N, M_q): (B, M, M_q, M_q)."""
     bank_t = T.transpose(bank, (1, 0))
-    stack = T.matmul(T.matmul(bank_t, w), T.matmul(T.transpose(w, (0, 1, 3, 2)), bank))
-    return T.add(stack, T.mul(T.matmul(bank_t, bank), Tensor(eps_spd)))
+    stack = T.gram(T.matmul(bank_t, w))
+    return T.add(stack, T.mul(T.gram(bank_t), Tensor(eps_spd)))
 
 
 def ndv(w: Tensor, bank: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
@@ -68,8 +62,7 @@ def ndv(w: Tensor, bank: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     # the column order of the flat query, read as (m_d, M, M_q, M_q)
     w1_q = T.transpose(T.reshape(w1, (m_d, m_q, m_q, m)), (0, 3, 1, 2))
     if n < m_q:  # per block, M N^2 (z_s + m_d) flops here against M M_q^2 (z_s + m_d)
-        stack = T.add(T.matmul(w, T.transpose(w, (0, 1, 3, 2))),
-                      Tensor(eps_spd * np.eye(n)))                   # U_m, (B, M, N, N)
+        stack = T.gram(w, eps_spd)                                   # U_m, (B, M, N, N)
         weight = T.matmul(T.matmul(bank, w1_q), T.transpose(bank, (1, 0)))  # (m_d, M, N, N)
     else:
         stack, weight = bilinear_query(w, bank, eps_spd), w1_q

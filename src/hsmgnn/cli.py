@@ -3,7 +3,7 @@
 Every run directory receives a resolved-config.json capturing the fully
 merged configuration, sufficient to reproduce the run bit for bit.
 Exit codes: 0 success, 1 I/O error, 2 any other package error (config,
-format, shape, contract), 3 numerical abort.
+format, shape, contract) or a config too large for memory, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    except HsmgnnError as exc:
+    except (HsmgnnError, MemoryError) as exc:  # numpy names the size it could not allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

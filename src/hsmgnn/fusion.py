@@ -31,7 +31,7 @@ from .tensor import Tensor
 
 def euclidean_adjacency(p_k: Tensor) -> Tensor:
     """softmax(relu(P P^T)) on raw block features, (B, N, W_p) -> (B, N, N)."""
-    return T.softmax_relu_rows(T.matmul(p_k, T.transpose(p_k, (0, 2, 1))))
+    return T.softmax_relu_rows(T.gram(p_k))
 
 
 def multihop_conv(u: Tensor, a: Tensor, r: int, gate: Tensor | None = None) -> Tensor:

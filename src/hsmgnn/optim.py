@@ -8,9 +8,9 @@ whole-array formula's operations in the same order,
     m *= b1;  m += (1 - b1) g;  v *= b2;  v += (1 - b2) g^2;  p -= (step m) / (sqrt(v) + eps),
 
 so every element comes out bit for bit as the whole-array update would leave
-it. Before anything is written, every gradient is checked for finiteness,
-block by block: a `NumericsError` naming the first bad parameter leaves all
-parameters, moments and the step count as they were.
+it. Before anything is written, every gradient is checked block by block: a NaN
+or |g| > `GRAD_LIMIT`, whose g^2 overflows, raises a `NumericsError` naming the
+parameter and leaves all parameters, moments and the step count as they were.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .tensor import Tensor
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the usual recipe (Kingma & Ba)
 BLOCK = 1 << 15  # elements per block: 256 KiB per scratch array
+GRAD_LIMIT = np.sqrt(np.finfo(np.float64).max)  # the largest |g| whose g^2 is finite
 
 
 def _blocks(arrays: list[np.ndarray], writable: int) -> np.nditer:
@@ -48,8 +49,8 @@ class Adam:
         updates = [(name, p) for name, p in self.params.items() if p.grad is not None]
         for name, p in updates:
             with _blocks([p.grad], 0) as blocks:
-                if not all(np.isfinite(g).all() for g in blocks):
-                    raise NumericsError(f"non-finite gradient in parameter {name!r}")
+                if not all(np.abs(g).max(initial=0.0) <= GRAD_LIMIT for g in blocks):
+                    raise NumericsError(f"gradient of {name!r} is NaN or above {GRAD_LIMIT:.3g}")
         self.t += 1
         # both bias corrections folded into the step size and eps (Kingma & Ba, sec. 2)
         root_c2 = np.sqrt(1.0 - BETA2 ** self.t)

@@ -19,8 +19,8 @@ P_s (N*M, F):
 - projection: Z P_s = P R + eps sum_m P_m, where row t of R is p_t^T P~_t,
   p_t is column t of P and P~_t = sum_m C[t, m] P_m is built from the
   weights once per forward (`fusion.factored_multihop`);
-- bilinear query: Xi^T U_m Xi = (Xi^T W_m)(W_m^T Xi) + eps Xi^T Xi, on the
-  window factors W that `window_covariance` returns (`adb.bilinear_query`).
+- bilinear query: Xi^T U_m Xi = V_m V_m^T + eps Xi^T Xi, V_m = Xi^T W_m, on
+  the window factors W that `window_covariance` returns (`adb.bilinear_query`).
   The distance FFN alone reads W (`adb.ndv`). It weighs the query by W1
   through <W1_{d,m}, Xi^T U_m Xi> = <Xi W1_{d,m} Xi^T, U_m>, so when
   N < M_q it reads the (M, N, N) slices U_m = W_m W_m^T + eps I in place of

@@ -26,13 +26,13 @@ constant 0/1 shift matrix (`_shift_matrix`) and reshape, and `mean_all`
 multiplies the sum by the constant 1/size. Scaling by a constant is `mul`
 with a constant `Tensor`, which gets no gradient.
 
-Two ops on the model's (N, N) graphs have a backward of their own, because
-the composition they replace holds whole N x N arrays that theirs does not:
-`softmax_relu_rows` keeps no relu output and adds no ridge constant, and
-`multihop` forms A's gradient as one product instead of r products and
-r - 1 sums. Each computes the forward of its composition bit for bit:
-`relu`, `matmul`, `mul`, `add` and the plain row softmax of
-`tests/reference.py` are the oracles.
+Three ops have a backward of their own, because the composition they replace
+holds whole arrays that theirs does not: `gram` and `softmax_relu_rows` add
+their ridge in place on the diagonal (`_add_ridge`), and `gram`'s backward makes
+nothing the size of its output; `softmax_relu_rows` keeps no relu output; and
+`multihop` forms A's gradient as one product instead of r products and r - 1
+sums. Each computes the forward of its composition bit for bit: `matmul`,
+`transpose`, `relu`, `mul`, `add` and the row softmax of `tests/reference.py`.
 
 No operation here performs an eigenvalue or Cholesky decomposition.
 """
@@ -196,12 +196,16 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def softmax_relu_rows(a: Tensor, ridge: float = 0.0) -> Tensor:
-    """Softmax over the last axis, max-shifted, of relu(a + ridge*I), as one node; the ridge
-    goes on the diagonal of the last two axes, so no (N, N) constant is made."""
-    data = a.data.copy()
+def _add_ridge(x: np.ndarray, ridge: float) -> np.ndarray:
+    """x + ridge*I over the last two axes, in place on the diagonal of the C-contiguous x."""
     if ridge:
-        data.reshape(data.shape[:-2] + (-1,))[..., ::data.shape[-1] + 1] += ridge
+        x.reshape(x.shape[:-2] + (-1,))[..., ::x.shape[-1] + 1] += ridge
+    return x
+
+
+def softmax_relu_rows(a: Tensor, ridge: float = 0.0) -> Tensor:
+    """Softmax over the last axis, max-shifted, of relu(a + ridge*I), as one node."""
+    data = _add_ridge(a.data.copy(), ridge)
     positive = data > 0.0
     np.fmax(data, 0.0, out=data)
     data -= data.max(axis=-1, keepdims=True)
@@ -252,6 +256,17 @@ def _operand_grad(x: np.ndarray, y: np.ndarray, like: np.ndarray) -> np.ndarray:
     if like.flags.f_contiguous and not like.flags.c_contiguous:
         return _product(y.T, x).T
     return _product(x.T, y)
+
+
+def gram(a: Tensor, ridge: float = 0.0) -> Tensor:
+    """a a^T + ridge*I over the last two axes as one node, with the backward g a + g^T a."""
+    data = _add_ridge(_product(a.data, np.swapaxes(a.data, -1, -2)), ridge)
+
+    def backward(g):
+        grad = _operand_grad(np.swapaxes(g, -1, -2), a.data, a.data)
+        a._accumulate(np.add(grad, _operand_grad(g, a.data, a.data), out=grad))
+
+    return _make(data, (a,), backward)
 
 
 def multihop(a: Tensor, u: Tensor, r: int, gate: Tensor | None = None) -> Tensor:

@@ -116,7 +116,6 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
     batches = range(0, len(train_set), train_cfg.batch_size)
     n_steps = min(train_cfg.epochs * len(batches), train_cfg.max_steps or np.inf)
 
-    best_state, best_report = model.state_dict(), None
     best_monitor = np.inf
     bad_epochs = 0
     loss_curve: list[float] = []
@@ -138,6 +137,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
             step += 1
         loss_curve.append(float(np.mean(epoch_losses)))
         val = evaluate(model, valid_set)
+        if not np.isfinite(val.monitor):
+            raise NumericsError(f"non-finite validation score at epoch {epoch}")
         if val.monitor < best_monitor:
             best_monitor, best_state, best_report = val.monitor, model.state_dict(), val
             bad_epochs = 0
@@ -146,12 +147,10 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
         if bad_epochs >= train_cfg.patience:
             break
 
-    model.load_state_dict(best_state)
-    # the best epoch's report describes best_state; evaluate only if no epoch improved
-    report = best_report if best_report is not None else evaluate(model, valid_set)
-    report.loss_curve = loss_curve
-    report.wall_clock = time.perf_counter() - start_time
-    return model, report
+    model.load_state_dict(best_state)  # a finite score beats inf: the first epoch sets it
+    best_report.loss_curve = loss_curve
+    best_report.wall_clock = time.perf_counter() - start_time
+    return model, best_report
 
 
 def _train_grid(runs: list[tuple[dict, ModelConfig, TrainConfig, Path | None]],

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hsmgnn import VARIANTS, training
+from hsmgnn import HSMGNN, VARIANTS, training
 from hsmgnn import data as D
 from hsmgnn.checkpoint import load_checkpoint
 from hsmgnn.cli import main
@@ -223,6 +223,17 @@ class TestTrainEval:
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
             f"I/O error: [Errno 2] No such file or directory: '{config}'\n")
+
+    def test_config_too_large_for_memory_exit_two(self, tmp_path, toy_data, config_file,
+                                                  monkeypatch, capsys):
+        def refuse(self, name, shape, fan_in, rng):  # no real 4.66 TiB request
+            raise MemoryError(f"Unable to allocate 4.66 TiB for an array with shape {shape}")
+
+        monkeypatch.setattr(HSMGNN, "_param", refuse)
+        assert main(["train", "--config", str(config_file), "--data", str(toy_data),
+                     "--out", str(tmp_path / "o"), "--set", "m_q=100000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: Unable to allocate 4.66 TiB for an array with shape (2, 2, 3)\n")
 
 
 class TestMalformedInput:

@@ -353,6 +353,56 @@ class TestSoftmaxReluRows:
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
+def gram_composed(a: Tensor, ridge: float) -> Tensor:
+    k = a.data.ndim
+    out = T.matmul(a, T.transpose(a, (*range(k - 2), k - 1, k - 2)))
+    return T.add(out, Tensor(ridge * np.eye(out.shape[-1])))
+
+
+class TestGram:
+    """`T.gram` bit for bit against the composition a a^T + ridge*I, and its gradient against
+    central differences, for 2-D, batched and transposed-view operands."""
+
+    CASES = [((4, 3), False), ((2, 3, 4, 5), False), ((3, 4), True), ((2, 5, 4), True)]
+
+    @staticmethod
+    def _operand(shape, transposed, seed):
+        """A leaf of `shape` and the operand read from it: the leaf, or its transpose node."""
+        leaf = Tensor(np.random.default_rng(seed).normal(size=shape), requires_grad=True)
+        k = len(shape)
+        return leaf, T.transpose(leaf, (*range(k - 2), k - 1, k - 2)) if transposed else leaf
+
+    @pytest.mark.parametrize("shape,transposed", CASES)
+    @pytest.mark.parametrize("ridge", [0.0, 0.3])
+    def test_matches_the_composition(self, shape, transposed, ridge):
+        outs, grads = [], []
+        for op in (T.gram, gram_composed):
+            leaf, a = self._operand(shape, transposed, 13)
+            out = op(a, ridge)
+            weights = np.random.default_rng(14).normal(size=out.shape)
+            T.sum_all(T.mul(out, Tensor(weights))).backward()
+            outs.append(out.data)
+            grads.append(leaf.grad)
+        assert np.array_equal(outs[0].view(np.uint64), outs[1].view(np.uint64))
+        assert np.max(np.abs(grads[0] - grads[1])) <= 1e-14 * np.max(np.abs(grads[1]))
+
+    @pytest.mark.parametrize("shape,transposed", CASES)
+    @pytest.mark.parametrize("ridge", [0.0, 0.3])
+    def test_finite_difference(self, shape, transposed, ridge):
+        leaf, a = self._operand(shape, transposed, 15)
+        out = T.gram(a, ridge)
+        weights = np.random.default_rng(16).normal(size=out.shape)
+        T.sum_all(T.mul(out, Tensor(weights))).backward()
+
+        def f():
+            x = np.swapaxes(leaf.data, -1, -2) if transposed else leaf.data
+            gram = x @ np.swapaxes(x, -1, -2) + ridge * np.eye(x.shape[-2])
+            return float((gram * weights).sum())
+
+        assert leaf.grad.flags.c_contiguous or leaf.data.ndim > 2  # 2-D: read as W or W^T
+        assert max_rel_err(leaf.grad, numeric_grad(f, leaf.data)) < 1e-6
+
+
 class TestMultihop:
     """`T.multihop` against central differences and against the hop-by-hop loop."""
 
@@ -538,6 +588,22 @@ class TestAdam:
         for old, new in zip(before, after):
             for k in sizes:
                 assert np.array_equal(old[k], new[k]), k
+
+    def test_gradient_whose_square_overflows_changes_nothing(self):
+        p = Tensor([1.0, 2.0], requires_grad=True)
+        opt = Adam({"theta": p}, lr=1e-2)
+        p.grad = np.array([0.5, -0.5])
+        opt.step()
+        before = [p.data.copy(), opt.m["theta"].copy(), opt.v["theta"].copy()]
+        p.grad = np.array([0.5, -1e155])  # finite, but its square is not
+        with pytest.raises(NumericsError, match="'theta'"):  # and no RuntimeWarning
+            opt.step()
+        assert opt.t == 1
+        for old, new in zip(before, (p.data, opt.m["theta"], opt.v["theta"])):
+            assert np.array_equal(old, new)
+        p.grad = np.array([optim.GRAD_LIMIT, -optim.GRAD_LIMIT])  # the largest square is finite
+        opt.step()
+        assert np.isfinite(opt.v["theta"]).all()
 
     def test_matches_the_whole_array_formula_bit_for_bit(self):
         def reference(p, m, v, g, t, lr):

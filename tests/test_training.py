@@ -9,7 +9,7 @@ from hsmgnn import HSMGNN, ModelConfig, TrainConfig, ablate, evaluate, sweep, tr
 from hsmgnn import VARIANTS, training
 from hsmgnn import tensor as T
 from hsmgnn.data import SampleSet, carve_validation, load_cmapss
-from hsmgnn.errors import ConfigError
+from hsmgnn.errors import ConfigError, NumericsError
 
 
 def synthetic_set(n_samples=24, n=3, t=8, seed=0, task="regression", n_classes=3):
@@ -94,7 +94,8 @@ class TestTrainLoop:
         fresh = evaluate(model, sset)
         assert (report.mae, report.mse, report.rmse) == (fresh.mae, fresh.mse, fresh.rmse)
 
-    def test_initial_state_evaluated_when_no_epoch_improves(self, monkeypatch):
+    def test_non_finite_validation_score_raises(self, monkeypatch):
+        """A diverged model is never returned as trained: no epoch improves on a NaN score."""
         calls = []
 
         def nan_monitor(*args, **kwargs):
@@ -104,9 +105,9 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "evaluate", nan_monitor)
         sset = synthetic_set()
         tc = TrainConfig(batch_size=8, epochs=3, lr=1e-2, patience=50, seed=1)
-        _, report = train(tiny_cfg(), tc, sset, sset)
-        assert len(calls) == 3 + 1
-        assert len(report.loss_curve) == 3
+        with pytest.raises(NumericsError, match="non-finite validation score at epoch 0"):
+            train(tiny_cfg(), tc, sset, sset)
+        assert len(calls) == 1
 
     def test_no_gradient_outlives_its_step(self, monkeypatch):
         held = []

@@ -34,6 +34,10 @@ the SPD embedding, in `tests/reference.py`.
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
+
 from . import tensor as T
 from .errors import ConfigError
 from .tensor import Tensor
@@ -62,9 +66,17 @@ def temporal_cnn(blocks: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor)
 
 
 def window_coverage(w_p: int, z_s: int) -> Tensor:
-    """The constant (W_p, M) coverage of the width-z_s windows: C[t, m] = 1 if m <= t < m + z_s."""
+    """The constant (W_p, M) coverage of the width-z_s windows: C[t, m] = 1 if m <= t < m + z_s.
+    The array is built once per (W_p, z_s) per process and is read-only."""
+    return Tensor(_coverage(w_p, z_s))
+
+
+@functools.lru_cache(maxsize=32)
+def _coverage(w_p: int, z_s: int) -> np.ndarray:
     m = w_p - z_s + 1
-    return Tensor(T._shift_matrix(w_p, m, 0).reshape(w_p, m, z_s).sum(axis=2))
+    c = T._shift_matrix(w_p, m, 0).reshape(w_p, m, z_s).sum(axis=2)
+    c.flags.writeable = False
+    return c
 
 
 def window_covariance(p_d: Tensor, z_s: int) -> Tensor:

@@ -22,9 +22,10 @@ may be a view of its child's (`reshape`, `transpose`).
 
 `conv1d`, `sliding_windows` and `mean_all` are compositions of the other
 ops and define no backward of their own: the first two multiply by a
-constant 0/1 shift matrix (`_shift_matrix`) and reshape, and `mean_all`
-multiplies the sum by the constant 1/size. Scaling by a constant is `mul`
-with a constant `Tensor`, which gets no gradient.
+constant 0/1 shift matrix (`_shift_matrix`, built once per shape per
+process and read-only) and reshape, and `mean_all` multiplies the sum by
+the constant 1/size. Scaling by a constant is `mul` with a constant
+`Tensor`, which gets no gradient.
 
 Three ops have a backward of their own, because the composition they replace
 holds whole arrays that theirs does not: `gram` and `softmax_relu_rows` add
@@ -34,14 +35,61 @@ nothing the size of its output; `softmax_relu_rows` keeps no relu output; and
 sums. Each computes the forward of its composition bit for bit: `matmul`,
 `transpose`, `relu`, `mul`, `add` and the row softmax of `tests/reference.py`.
 
+`gram` is the one exception: it multiplies a by a copy of its transpose, so
+it matches `matmul(a, transpose(a))` to rounding, not bit for bit. Given an
+array and a transposed view of that same array, numpy takes a symmetric rank-k
+update (BLAS syrk) one matrix at a time and then mirrors the triangle; at the
+model's Gram shapes that is 2-4x slower than the general product on a separate
+operand. So no product of the model gets operands that share memory, and
+`gram`'s result is symmetric only to rounding. The copy is written into one
+reused buffer per thread, so `gram` allocates nothing but its result.
+
+Every node allocates a fresh array, and a step frees its whole graph at once.
+glibc's malloc by default moves its mmap and trim thresholds with the largest
+block freed so far, so whether a step's arrays stay in the heap or go back to
+the kernel depends on the process's allocation history: at N=14, B=32 some
+processes would page-fault about 2,500 times (10 MB) in every step, a quarter
+of the step's time, and others not at all. On glibc, importing this module
+fixes both thresholds (`_hold_freed_memory`), so the memory a step frees is
+the memory the next one uses.
+
 No operation here performs an eigenvalue or Cholesky decomposition.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters, malloc.h
+
+
+def _hold_freed_memory() -> None:
+    """Fix glibc malloc's thresholds for this process; do nothing on another C library.
+
+    Blocks up to 32 MiB (glibc's own ceiling for its moving threshold) come from the heap,
+    not from a fresh mmap each time, and the heap is not trimmed until 128 MiB at its top
+    are free, more than a step at N=128 frees.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return
+    if not (libc or "").startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+
+
+_hold_freed_memory()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -258,9 +306,29 @@ def _operand_grad(x: np.ndarray, y: np.ndarray, like: np.ndarray) -> np.ndarray:
     return _product(x.T, y)
 
 
+_scratch = threading.local()
+
+
+def _transposed_copy(a: np.ndarray) -> np.ndarray:
+    """a^T over the last two axes, written into this thread's one buffer, which grows to the
+    largest operand seen. Only the product in `gram` reads it, before the next call."""
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < a.size or buf.dtype != a.dtype:
+        buf = _scratch.buf = np.empty(a.size, a.dtype)
+    out = buf[:a.size].reshape(a.shape[:-2] + (a.shape[-1], a.shape[-2]))
+    np.copyto(out, np.swapaxes(a, -1, -2))
+    return out
+
+
 def gram(a: Tensor, ridge: float = 0.0) -> Tensor:
-    """a a^T + ridge*I over the last two axes as one node, with the backward g a + g^T a."""
-    data = _add_ridge(_product(a.data, np.swapaxes(a.data, -1, -2)), ridge)
+    """a a^T + ridge*I over the last two axes as one node, with the backward g a + g^T a.
+
+    The transpose is copied so that numpy runs a general product, not its slower syrk path
+    for an operand and its own transposed view. `np.ascontiguousarray` would not do: the
+    transpose of a 2-D F-ordered operand is already contiguous and comes back as the same
+    memory. The copy goes into a reused buffer (`_transposed_copy`), not a fresh array.
+    """
+    data = _add_ridge(_product(a.data, _transposed_copy(a.data)), ridge)
 
     def backward(g):
         grad = _operand_grad(np.swapaxes(g, -1, -2), a.data, a.data)
@@ -386,17 +454,21 @@ def mean_all(a: Tensor) -> Tensor:
     return mul(sum_all(a), Tensor(1.0 / a.data.size))
 
 
+@functools.lru_cache(maxsize=32)
 def _shift_matrix(length: int, shifts: int, pad: int) -> np.ndarray:
     """0/1 matrix E of shape (length, shifts * out) with out = length + 2*pad - shifts + 1.
 
     Column j*out + l picks position l + j - pad of a length-`length` axis, or
     nothing where that falls in the padding, so x @ E lays the `shifts`
-    shifted copies of x side by side.
+    shifted copies of x side by side. Built once per shape per process and
+    read-only: every caller shares the one array.
     """
     out = length + 2 * pad - shifts + 1
     padded = np.eye(length, length + 2 * pad, pad)
     windows = np.lib.stride_tricks.sliding_window_view(padded, out, axis=1)
-    return windows.reshape(length, shifts * out)
+    matrix = windows.reshape(length, shifts * out)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:

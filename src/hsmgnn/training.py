@@ -120,32 +120,35 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: SampleSet,
     bad_epochs = 0
     loss_curve: list[float] = []
     step = 0
-    for epoch in range(-(-n_steps // len(batches))):  # only the last may stop short
-        order = rng.permutation(len(train_set))
-        epoch_losses = []
-        for lo in batches[:n_steps - step]:
-            idx = order[lo:lo + train_cfg.batch_size]
-            pred = model.forward(train_set.model_inputs(idx))
-            loss = model.loss(pred, labels[idx])
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise NumericsError(f"non-finite loss at epoch {epoch}, step {step}")
-            loss.backward()
-            opt.step()
-            opt.zero_grad()  # no gradient outlives its step: not in evaluate, nor in the model
-            epoch_losses.append(value)
-            step += 1
-        loss_curve.append(float(np.mean(epoch_losses)))
-        val = evaluate(model, valid_set)
-        if not np.isfinite(val.monitor):
-            raise NumericsError(f"non-finite validation score at epoch {epoch}")
-        if val.monitor < best_monitor:
-            best_monitor, best_state, best_report = val.monitor, model.state_dict(), val
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-        if bad_epochs >= train_cfg.patience:
-            break
+    # a diverging run ends in the one NumericsError of the loss, validation or gradient
+    # checks, not in a RuntimeWarning from each op its non-finite values reach first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(-(-n_steps // len(batches))):  # only the last may stop short
+            order = rng.permutation(len(train_set))
+            epoch_losses = []
+            for lo in batches[:n_steps - step]:
+                idx = order[lo:lo + train_cfg.batch_size]
+                pred = model.forward(train_set.model_inputs(idx))
+                loss = model.loss(pred, labels[idx])
+                value = float(loss.data)
+                if not np.isfinite(value):
+                    raise NumericsError(f"non-finite loss at epoch {epoch}, step {step}")
+                loss.backward()
+                opt.step()
+                opt.zero_grad()  # no gradient outlives its step: not in evaluate, nor in the model
+                epoch_losses.append(value)
+                step += 1
+            loss_curve.append(float(np.mean(epoch_losses)))
+            val = evaluate(model, valid_set)
+            if not np.isfinite(val.monitor):
+                raise NumericsError(f"non-finite validation score at epoch {epoch}")
+            if val.monitor < best_monitor:
+                best_monitor, best_state, best_report = val.monitor, model.state_dict(), val
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+            if bad_epochs >= train_cfg.patience:
+                break
 
     model.load_state_dict(best_state)  # a finite score beats inf: the first epoch sets it
     best_report.loss_curve = loss_curve

@@ -598,3 +598,22 @@ def test_sweep_values_parse_like_set(param, values, labels, overrides, tmp_path,
         assert main(["train", *run, "--out", str(out),
                      *(arg for s in sets for arg in ("--set", s))]) == 0
         assert row["rmse"] == json.loads((out / "metrics.json").read_text())[0]["rmse"]
+
+
+def test_diverging_run_aborts_with_one_line_and_no_warning(tmp_path, capsys):
+    """Under the suite's error::RuntimeWarning filter: the forward of a model that an lr of
+    1e300 has blown up overflows in its products, and the run still ends in exit 3 with the
+    one abort line, with numpy's error state restored."""
+    rng = np.random.default_rng(0)
+    rows = ["s1,s2,s3,label"] + [",".join(map(str, rng.normal(size=4))) for _ in range(60)]
+    (tmp_path / "in.csv").write_text("\n".join(rows) + "\n")
+    data = tmp_path / "x.mtsd"
+    assert main(["prepare", "--dataset", "csv", "--input", str(tmp_path / "in.csv"),
+                 "--output", str(data), "--window", "12", "--task", "regression"]) == 0
+    capsys.readouterr()
+    state = np.geterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "o"), "--set", "w_p=4",
+                 "--set", "epochs=1", "--set", "lr=1e300"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["numerical abort: non-finite validation score at epoch 0"]
+    assert np.geterr() == state

@@ -14,6 +14,8 @@ composes the dense reference stages of `tests/reference.py`
 gradient.
 """
 
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -254,6 +256,105 @@ def test_multiply_adds_per_training_step(variant, n, b, limit, monkeypatch):
     x = np.random.default_rng(0).normal(size=(b, n, 30))
     model.loss(model.forward(x), np.ones(b)).backward()
     assert total <= limit, f"{total:,} multiply-adds per step, limit {limit:,}"
+
+
+@pytest.mark.parametrize("n,m_q", [(14, 32), (6, 4)], ids=["n<m_q", "n>=m_q"])
+def test_no_product_gets_operands_that_share_memory(n, m_q, monkeypatch):
+    """numpy hands an operand and its own transposed view to BLAS syrk, which is slower than
+    a general product at every Gram shape of the model: `T.gram` multiplies by a copy. Over
+    a training step and a `predict`, on both sides of the distance FFN's N < M_q fork."""
+    shared, product = [], T._product
+
+    def recorded(x, y):
+        if np.shares_memory(x, y):
+            shared.append((x.shape, y.shape))
+        return product(x, y)
+
+    monkeypatch.setattr(T, "_product", recorded)
+    model = HSMGNN(ModelConfig(n=n, t=30, m_q=m_q), seed=0)
+    x = np.random.default_rng(0).normal(size=(4, n, 30))
+    model.loss(model.forward(x), np.ones(4)).backward()
+    model.predict(x)
+    assert shared == []
+
+
+def test_gram_results_do_not_change_when_its_buffer_is_reused():
+    """`T.gram` writes each transposed copy into one reused buffer: a later, smaller or larger
+    Gram leaves earlier results as they were, and no result is a view of the buffer."""
+    rng = np.random.default_rng(0)
+    arrays = [rng.normal(size=shape) for shape in ((3, 4, 5), (2, 4, 5), (6, 5, 3), (4, 7))]
+    results = [T.gram(Tensor(a), 0.5).data for a in arrays]
+    kept = [r.copy() for r in results]
+    T.gram(Tensor(rng.normal(size=(9, 8, 7))))
+    for a, r, k in zip(arrays, results, kept):
+        assert np.array_equal(r, k)
+        assert not np.shares_memory(r, T._scratch.buf)
+        expected = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(a.shape[-2])
+        np.testing.assert_allclose(r, expected, rtol=1e-14, atol=1e-14)
+
+
+def test_gram_buffers_are_per_thread():
+    """Threads taking Grams of different shapes at once each write their own buffer."""
+    rng = np.random.default_rng(1)
+    arrays = [rng.normal(size=(8, 6 + i, 5 + i)) for i in range(4)]
+    errors = []
+
+    def work(a):
+        want = a @ np.swapaxes(a, -1, -2)
+        for _ in range(300):
+            if not np.allclose(T.gram(Tensor(a)).data, want, rtol=1e-13, atol=1e-13):
+                errors.append(a.shape)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(a,)) for a in arrays]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+def test_a_second_forward_builds_no_constant_matrix():
+    """The shift matrices of `conv1d` and `sliding_windows` and the window coverage are built
+    once per shape per process."""
+    model = HSMGNN(ModelConfig(n=5, t=30), seed=0)
+    x = np.zeros((2, 5, 30))
+    model.forward(x)
+    builders = (T._shift_matrix, scs._coverage)
+    before = [f.cache_info() for f in builders]
+    model.forward(x)
+    after = [f.cache_info() for f in builders]
+    assert [a.misses for a in after] == [b.misses for b in before]
+    assert all(a.hits > b.hits for a, b in zip(after, before))
+
+
+def test_cached_constants_are_read_only_and_equal_a_fresh_build(monkeypatch):
+    """Every array the two caches hand a forward is shared, so none may be written; each is
+    bit for bit the array its builder makes without the cache."""
+    builders, handed = (T._shift_matrix, scs._coverage), []
+
+    def recording(f):
+        def build(*args):
+            handed.append((f, args, f(*args)))
+            return handed[-1][2]
+        return build
+
+    for module, f in zip((T, scs), builders):
+        monkeypatch.setattr(module, f.__name__, recording(f))
+    HSMGNN(ModelConfig(n=5, t=30), seed=0).forward(np.zeros((2, 5, 30)))
+    assert {f for f, _, _ in handed} == set(builders)
+    for f, args, array in handed:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 2.0
+        fresh = f.__wrapped__(*args)
+        assert fresh is not array
+        assert fresh.dtype == array.dtype and np.array_equal(fresh, array)
 
 
 @pytest.mark.parametrize("variant,calls", [("complete", 1), ("no-scs", 0),

@@ -1,4 +1,8 @@
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -94,6 +98,39 @@ def test_every_product_of_the_package_is_taken_in_product():
     assert raw_products("def _product(x, y):\n    return x @ y\n") == []
     assert raw_products("def f(x, y):\n    return x @ y\n") == [2]
     assert raw_products("y = np.matmul(a, b) + a.dot(b)\n") == [1, 1]
+
+
+STEP_FAULTS = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from hsmgnn import HSMGNN, ModelConfig
+    from hsmgnn.optim import Adam
+
+    model = HSMGNN(ModelConfig(n=14, t=30), seed=0)
+    opt = Adam(model.params, lr=1e-3)
+    x, y = np.random.default_rng(0).normal(size=(32, 14, 30)), np.ones(32)
+    for step in range(6):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        model.loss(model.forward(x), y).backward()
+        opt.step()
+        opt.zero_grad()
+        if step >= 2:
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not (
+    os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"), reason="glibc only")
+def test_a_training_step_reuses_the_memory_the_step_before_freed():
+    """Under glibc's moving malloc thresholds a step at N=14, B=32 page-faulted in about
+    2,500 pages of the arrays the step before had freed, in some processes and not in
+    others. A fresh interpreter has the allocation history of a plain run."""
+    src = str(Path(T.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", STEP_FAULTS], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    faults = [int(line) for line in out.split()]
+    assert len(faults) == 4 and max(faults) < 250, faults
 
 
 class TestMatmulGradients:

@@ -8,6 +8,7 @@ dims, row-major f64 data. Round trips are byte-identical.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -33,40 +34,51 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; any malformed or truncated content raises FormatError."""
-    raw = memoryview(Path(path).read_bytes())
-    offset = 0
+    """Read a checkpoint; any malformed or truncated content raises FormatError. Each tensor
+    is read straight into a fresh array: the file puts tensor data at any byte offset, and
+    numpy would copy an unaligned view of the file's bytes before every BLAS product."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        offset = 0
 
-    def take(n: int, what: str) -> memoryview:
-        nonlocal offset
-        if offset + n > len(raw):
-            raise FormatError(f"{path}: truncated in {what} at byte {offset}")
-        chunk = raw[offset : offset + n]
-        offset += n
-        return chunk
+        def reserve(n: int, what: str) -> int:
+            """The `n` bytes of `what` from `offset` on, or FormatError past the file's end."""
+            nonlocal offset
+            if offset + n > size:
+                raise FormatError(f"{path}: truncated in {what} at byte {offset}")
+            offset += n
+            return n
 
-    magic = bytes(take(4, "magic"))
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    version, count = struct.unpack("<II", take(8, "header"))
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
-        try:
-            name = str(take(name_len, "name"), "utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: tensor name is not UTF-8") from None
-        if name in out:
-            raise FormatError(f"{path}: duplicate tensor {name!r}")
-        (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
-        dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"shape of {name!r}"))
-        data = take(8 * math.prod(dims), f"data of {name!r}")
-        try:
-            out[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
-        except ValueError:  # an empty tensor whose other dims overflow
-            raise FormatError(f"{path}: shape {dims} of {name!r} too large") from None
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
+        def take(n: int, what: str) -> bytes:
+            chunk = f.read(reserve(n, what))
+            if len(chunk) != n:  # the file shrank while it was read
+                raise FormatError(f"{path}: truncated in {what}")
+            return chunk
+
+        magic = take(4, "magic")
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        version, count = struct.unpack("<II", take(8, "header"))
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        out: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", take(2, "name length"))
+            try:
+                name = take(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: tensor name is not UTF-8") from None
+            if name in out:
+                raise FormatError(f"{path}: duplicate tensor {name!r}")
+            (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
+            dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"shape of {name!r}"))
+            nbytes = reserve(8 * math.prod(dims), f"data of {name!r}")
+            try:
+                out[name] = np.empty(dims, dtype="<f8")
+            except ValueError:  # an empty tensor whose other dims overflow
+                raise FormatError(f"{path}: shape {dims} of {name!r} too large") from None
+            if f.readinto(out[name]) != nbytes:
+                raise FormatError(f"{path}: truncated in data of {name!r}")
+        if offset != size:
+            raise FormatError(f"{path}: {size - offset} trailing bytes")
     return out

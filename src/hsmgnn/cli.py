@@ -142,12 +142,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    """The head's width, not the evaluated set's labels, sets the default class count."""
+    """The head's width, not the evaluated set's labels, sets the default class count. The
+    model takes the checkpoint's arrays as its parameters: nothing is drawn or copied."""
     state = load_checkpoint(args.checkpoint)
     head = state.get("mlp.b4")
     sset, model_cfg, train_cfg = build_configs(args, 0 if head is None else head.size)
-    model = HSMGNN(model_cfg, seed=train_cfg.seed)
-    model.load_state_dict(state)
+    model = HSMGNN.from_state(model_cfg, state)
     report = training.evaluate(model, sset)
     return write_outputs(Path(args.out), model_cfg, train_cfg, {"checkpoint": args.checkpoint},
                          [{"split": "eval", **report.to_dict()}], "eval {name}: {metric:.6f}")

@@ -141,7 +141,7 @@ def _read_table(path: Path, columns: int | None = None, delimiter: str | None = 
         raise FormatError(f"{path}: no data rows")
     if columns is not None and table.shape[1] != columns:
         raise FormatError(f"{path}: {table.shape[1]} columns, expected {columns}")
-    return table if dtype is object else _floats(path, table, np.arange(table.shape[1]), 1)
+    return table if dtype is object else _floats(path, table, None, 1)
 
 
 def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
@@ -166,37 +166,52 @@ def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
         raise ConfigError(f"window must be >= 1, got {window}")
     if not rul_cap > 0:
         raise ConfigError(f"rul_cap must be > 0, got {rul_cap}")
-    train = _read_table(data_dir / f"train_{subset}.txt", CMAPSS_COLUMNS)
-    sensors = train[:, 5:]
-    keep = sensors.std(axis=0) > 1e-12
-    names = [f"s{i + 1}" for i in range(21) if keep[i]]
-    stats = {"mean": sensors[:, keep].mean(axis=0), "std": sensors[:, keep].std(axis=0)}
-    if split == "test":
-        return _cmapss_test(data_dir, subset, window, rul_cap, names, stats)
-    return _cmapss_windows(train, window, rul_cap, names, stats)
+    names, units, values = _cmapss_table(data_dir / f"train_{subset}.txt")
+    # on the kept columns as gathered: numpy's axis-0 sums, and so the statistics' last
+    # bits, vary with the columns summed and their memory layout
+    stats = {"mean": values.mean(axis=0), "std": values.std(axis=0)}
+    if split == "train":
+        return _cmapss_windows(units, values, window, rul_cap, names, stats)
+    del units, values  # the test table is parsed without the training rows held
+    return _cmapss_test(data_dir, subset, window, rul_cap, names, stats)
+
+
+def _cmapss_table(path: Path, names: list[str] | None = None
+                  ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The sensor `names` (by default those that vary over the table), the unit column and
+    those sensors' columns of a turbofan table. The table itself is not kept."""
+    table = _read_table(path, CMAPSS_COLUMNS)
+    if names is None:
+        keep = table[:, 5:].std(axis=0) > 1e-12
+        names = [f"s{i + 1}" for i in range(21) if keep[i]]
+    columns = [4 + int(name[1:]) for name in names]  # sensor s<k> is column 5 + k - 1
+    return names, table[:, 0].copy(), table[:, columns]
 
 
 def _cmapss_test(data_dir: Path, subset: str, window: int, rul_cap: float, names: list[str],
                  stats: dict) -> SampleSet:
     """The test split, normalized as the training split whose `names` and `stats` are given."""
     data_dir = Path(data_dir)
-    table = _read_table(data_dir / f"test_{subset}.txt", CMAPSS_COLUMNS)
-    return _cmapss_windows(table, window, rul_cap, names, stats, data_dir / f"RUL_{subset}.txt")
+    _, units, values = _cmapss_table(data_dir / f"test_{subset}.txt", names)
+    return _cmapss_windows(units, values, window, rul_cap, names, stats,
+                           data_dir / f"RUL_{subset}.txt")
 
 
-def _cmapss_windows(table: np.ndarray, window: int, rul_cap: float, names: list[str],
-                    stats: dict, rul_path: Path | None = None) -> SampleSet:
-    """The windows of a turbofan table, as `load_cmapss` describes: the train split's, or
-    with `rul_path` the test split's. The source is a sliding-window view of the normalized
-    rows, each unit's preceded by `window - 1` copies of its first: the window ending at
-    row e of the sorted table, in the unit at position u (both from 0), is source window
-    e + u * (window - 1) and never reaches into the unit before."""
-    table = table[np.argsort(table[:, 0], kind="stable")]
-    unit_ids, first, counts = np.unique(table[:, 0], return_index=True, return_counts=True)
+def _cmapss_windows(units: np.ndarray, values: np.ndarray, window: int, rul_cap: float,
+                    names: list[str], stats: dict, rul_path: Path | None = None) -> SampleSet:
+    """The windows of a turbofan table with unit column `units` and sensor columns `values`,
+    as `load_cmapss` describes: the train split's, or with `rul_path` the test split's. The
+    source is a sliding-window view of the normalized rows, stable-sorted by unit and each
+    unit's preceded by `window - 1` copies of its first, gathered by one index: the window
+    ending at row e of the sorted table, in the unit at position u (both from 0), is source
+    window e + u * (window - 1) and never reaches into the unit before."""
+    order = np.argsort(units, kind="stable")
+    unit_ids, counts = np.unique(units, return_counts=True)
+    first = np.cumsum(counts) - counts  # each unit's first row in the sorted table
     last = first + counts - 1
     if rul_path is None:
         unit = np.repeat(np.arange(len(unit_ids)), counts)  # unit position of each row
-        ends = np.flatnonzero(np.arange(len(table)) - first[unit] >= window - 1)
+        ends = np.flatnonzero(np.arange(len(units)) - first[unit] >= window - 1)
         if not len(ends):
             raise ConfigError(f"window {window} is longer than every training trajectory")
         unit = unit[ends]
@@ -208,10 +223,11 @@ def _cmapss_windows(table: np.ndarray, window: int, rul_cap: float, names: list[
                 f"{rul_path}: {len(truth)} RUL values for {len(unit_ids)} test units")
         unit, ends, labels = np.arange(len(unit_ids)), last, truth
 
-    repeats = np.ones(len(table), dtype=int)
+    repeats = np.ones(len(units), dtype=int)
     repeats[first] = window
-    columns = [4 + int(name[1:]) for name in names]  # sensor s<k> is column 5 + k - 1
-    rows = (np.repeat(table[:, columns], repeats, axis=0) - stats["mean"]) / stats["std"]
+    rows = values[np.repeat(order, repeats)]
+    rows -= stats["mean"]
+    rows /= stats["std"]
     return SampleSet(_sliding_windows(rows[..., None], window), np.minimum(rul_cap, labels),
                      "regression", names, stats, unit_ids[unit].astype(np.int64),
                      ends + unit * (window - 1))
@@ -269,9 +285,10 @@ def load_csv(path, label_column: str = "label", window: int = 1,
 
 
 def _floats(path: Path, rows: np.ndarray, columns, first_row: int) -> np.ndarray:
-    """`rows[:, columns]` as float64, else a FormatError naming the first cell that float()
-    rejects or that is not finite. `first_row` is the row number of `rows[0]`."""
-    cells = rows[:, columns]
+    """`rows[:, columns]` (`rows` itself if `columns` is None) as float64, else a FormatError
+    naming the first cell that float() rejects or that is not finite. `first_row` is the row
+    number of `rows[0]`."""
+    cells = rows if columns is None else rows[:, columns]
     try:
         values = cells.astype(np.float64, copy=False)
     except ValueError:
@@ -290,8 +307,9 @@ def _floats(path: Path, rows: np.ndarray, columns, first_row: int) -> np.ndarray
             return values
         at = int(np.argmin(finite))  # the first non-finite cell in row-major order
         problem = f"non-finite value {values.flat[at]}"
-    row, col = divmod(at, len(columns))
-    raise FormatError(f"{path}: {problem} at row {row + first_row}, column {columns[col] + 1}")
+    row, col = divmod(at, cells.shape[1])
+    column = col if columns is None else columns[col]
+    raise FormatError(f"{path}: {problem} at row {row + first_row}, column {column + 1}")
 
 
 # -- validation carve-out -------------------------------------------------

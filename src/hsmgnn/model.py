@@ -15,11 +15,16 @@ their parameters.
 
 `ModelConfig` holds every model hyperparameter, the SCS ones included, and
 checks the type and range of each once, at construction (`check_fields`).
+Its `param_table` names every parameter with its shape and fan-in: the
+random draw, the checkpoint checks and the parameter budget all read it, so
+a config's size is known, and bounded, before anything is allocated.
+`HSMGNN.from_state` builds a model from a checkpoint's arrays without a draw.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import get_args, get_origin, get_type_hints
@@ -33,6 +38,7 @@ from .errors import ConfigError
 from .tensor import Tensor
 
 VARIANTS = ("complete", "no-scs", "no-adb", "no-fgcn")
+PARAM_BUDGET = 1 << 25  # parameter elements a config may have: 256 MiB per float64 copy
 
 
 def check_value(name: str, value, kind):
@@ -58,9 +64,15 @@ def check_value(name: str, value, kind):
     return value
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    return get_type_hints(cls)
+
+
 def check_fields(cfg) -> None:
-    """Type-check and normalize every field of a config dataclass in place."""
-    for name, kind in get_type_hints(type(cfg)).items():
+    """Type-check and normalize every field of a config dataclass in place. A class's type
+    hints are resolved once per process."""
+    for name, kind in _field_types(type(cfg)).items():
         setattr(cfg, name, check_value(name, getattr(cfg, name), kind))
 
 
@@ -108,6 +120,10 @@ class ModelConfig:
                               f"num_windows * eps_spd**2 is finite, got {self.eps_spd}")
         if self.w_s < 0 or self.w_e < 0:
             raise ConfigError("fusion weights must be non-negative")
+        count = sum(math.prod(shape) for shape, _ in self.param_table().values())
+        if count > PARAM_BUDGET:
+            raise ConfigError(f"the model would have {count:,} parameters, "
+                              f"over the budget of {PARAM_BUDGET:,}")
 
     @property
     def z_s(self) -> int:
@@ -144,6 +160,45 @@ class ModelConfig:
             width += k * self.n * self.f_e
         return width
 
+    def param_table(self) -> dict[str, tuple[tuple[int, ...], int]]:
+        """Every parameter of the model, in draw order: name -> (shape, fan-in)."""
+        l, m, k, h = self.num_blocks, self.num_windows, self.kernel, self.cnn_hidden
+        table = {}
+        if self.has_spd:
+            table.update({"cnn.w1": ((h, l, k), l * k), "cnn.b1": ((h,), l * k),
+                          "cnn.w2": ((self.d_blocks, h, k), h * k),
+                          "cnn.b2": ((self.d_blocks,), h * k),
+                          "proj_s.w": ((self.n * m, self.f_s), self.n * m),
+                          "proj_s.b": ((self.f_s,), self.n * m)})
+        if self.has_adb:
+            q_flat = self.m_q * self.m_q * m
+            table.update({"adb.bank": ((self.n, self.m_q), self.n),
+                          "adb.ffn_w1": ((self.m_d, q_flat), q_flat),
+                          "adb.ffn_b1": ((self.m_d,), q_flat),
+                          "adb.ffn_w2": ((self.n, self.m_d), self.m_d),
+                          "adb.ffn_b2": ((self.n,), self.m_d)})
+        if self.has_euclid:
+            table.update({"proj_e.w": ((self.w_p, self.f_e), self.w_p),
+                          "proj_e.b": ((self.f_e,), self.w_p)})
+        widths = (self.fused_width,) + self.mlp_widths + (self.n_classes,)
+        for i in range(4):
+            table[f"mlp.w{i + 1}"] = (widths[i + 1], widths[i]), widths[i]
+            table[f"mlp.b{i + 1}"] = (widths[i + 1],), widths[i]
+        return table
+
+    @property
+    def window_elements(self) -> int:
+        """Elements per window of the largest array a forward holds: the (K, N, N)
+        adjacencies, the distance FFN's (K, M, s, s) stack (s = min(N, m_q)), the CNN's
+        hidden map or the fused features."""
+        k = self.d_blocks if self.has_spd else self.num_blocks
+        sizes = [k * self.n * self.n, self.fused_width]
+        if self.has_spd:
+            sizes.append(self.n * self.cnn_hidden * self.w_p)
+        if self.has_adb:
+            sizes.append(k * self.num_windows * min(self.n, self.m_q) ** 2)
+        return max(sizes)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -156,36 +211,23 @@ class HSMGNN:
         self.params: dict[str, Tensor] = {}
         self._init_params(np.random.default_rng(seed))
 
-    def _param(self, name: str, shape: tuple[int, ...], fan_in: int, rng) -> Tensor:
-        bound = 1.0 / np.sqrt(fan_in)
-        t = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True, name=name)
-        self.params[name] = t
-        return t
+    @classmethod
+    def from_state(cls, cfg: ModelConfig, state: dict[str, np.ndarray]) -> "HSMGNN":
+        """The model of `cfg` whose parameters are `state`'s arrays, checked as by
+        `load_state_dict`, with no random draw. Float64 arrays are adopted, not copied, so
+        the state is handed over: `load_checkpoint`'s arrays are fresh and aligned."""
+        model = cls.__new__(cls)
+        model.cfg = cfg
+        model.params = {name: Tensor(state[name], requires_grad=True, name=name)
+                        for name in _checked(cfg, state)}
+        return model
 
     def _init_params(self, rng) -> None:
-        cfg = self.cfg
-        l, m, k = cfg.num_blocks, cfg.num_windows, cfg.kernel
-        if cfg.has_spd:
-            self._param("cnn.w1", (cfg.cnn_hidden, l, k), l * k, rng)
-            self._param("cnn.b1", (cfg.cnn_hidden,), l * k, rng)
-            self._param("cnn.w2", (cfg.d_blocks, cfg.cnn_hidden, k), cfg.cnn_hidden * k, rng)
-            self._param("cnn.b2", (cfg.d_blocks,), cfg.cnn_hidden * k, rng)
-            self._param("proj_s.w", (cfg.n * m, cfg.f_s), cfg.n * m, rng)
-            self._param("proj_s.b", (cfg.f_s,), cfg.n * m, rng)
-        if cfg.has_adb:
-            q_flat = cfg.m_q * cfg.m_q * m
-            self._param("adb.bank", (cfg.n, cfg.m_q), cfg.n, rng)
-            self._param("adb.ffn_w1", (cfg.m_d, q_flat), q_flat, rng)
-            self._param("adb.ffn_b1", (cfg.m_d,), q_flat, rng)
-            self._param("adb.ffn_w2", (cfg.n, cfg.m_d), cfg.m_d, rng)
-            self._param("adb.ffn_b2", (cfg.n,), cfg.m_d, rng)
-        if cfg.has_euclid:
-            self._param("proj_e.w", (cfg.w_p, cfg.f_e), cfg.w_p, rng)
-            self._param("proj_e.b", (cfg.f_e,), cfg.w_p, rng)
-        widths = (cfg.fused_width,) + cfg.mlp_widths + (cfg.n_classes,)
-        for i in range(4):
-            self._param(f"mlp.w{i + 1}", (widths[i + 1], widths[i]), widths[i], rng)
-            self._param(f"mlp.b{i + 1}", (widths[i + 1],), widths[i], rng)
+        """Draw each parameter of the table, uniform in +-1/sqrt(fan-in), in table order."""
+        for name, (shape, fan_in) in self.cfg.param_table().items():
+            bound = 1.0 / np.sqrt(fan_in)
+            self.params[name] = Tensor(rng.uniform(-bound, bound, size=shape),
+                                       requires_grad=True, name=name)
 
     # -- forward ---------------------------------------------------------
 
@@ -242,23 +284,30 @@ class HSMGNN:
         return {k: self.params[k].data.copy() for k in sorted(self.params)}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        if set(state) != set(self.params):
-            missing = sorted(set(self.params) - set(state))
-            extra = sorted(set(state) - set(self.params))
-            raise ConfigError(f"checkpoint mismatch: missing {missing}, unexpected {extra}")
-        for k, arr in state.items():
-            if arr.shape != self.params[k].data.shape:
-                raise ConfigError(
-                    f"checkpoint tensor {k!r} has shape {arr.shape}, "
-                    f"expected {self.params[k].data.shape}"
-                )
-            self.params[k].data = arr.astype(np.float64)
+        """Copy `state`'s arrays into the parameters, once they match the parameter table."""
+        for name in _checked(self.cfg, state):
+            self.params[name].data = state[name].astype(np.float64)
 
     def save(self, path) -> None:
         save_checkpoint(path, self.state_dict())
 
     def load(self, path) -> None:
         self.load_state_dict(load_checkpoint(path))
+
+
+def _checked(cfg: ModelConfig, state: dict[str, np.ndarray]) -> dict:
+    """`cfg`'s parameter table, or ConfigError if `state` lacks or adds a tensor or has one
+    of another shape."""
+    table = cfg.param_table()
+    if set(state) != set(table):
+        missing = sorted(set(table) - set(state))
+        extra = sorted(set(state) - set(table))
+        raise ConfigError(f"checkpoint mismatch: missing {missing}, unexpected {extra}")
+    for name, arr in state.items():
+        if arr.shape != table[name][0]:
+            raise ConfigError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
+                              f"expected {table[name][0]}")
+    return table
 
 
 def ablate(variant: str, base: ModelConfig) -> ModelConfig:

@@ -87,9 +87,18 @@ def classification_metrics(pred: np.ndarray, target: np.ndarray) -> MetricsRepor
     return MetricsReport("classification", accu=accu, mf1=float(np.mean(f1s)))
 
 
-def evaluate(model: HSMGNN, sset: SampleSet, batch_size: int = 64) -> MetricsReport:
+EVAL_BATCH = 64          # windows per evaluation forward, at most
+EVAL_BYTES = 8 << 20     # and at most as many as keep its largest array within 8 MiB
+
+
+def evaluate(model: HSMGNN, sset: SampleSet, batch_size: int | None = None) -> MetricsReport:
+    """Metrics of `model`'s predictions on `sset`, `batch_size` windows per forward; by
+    default `EVAL_BATCH`, fewer where the config's largest per-window array
+    (`ModelConfig.window_elements`) would pass `EVAL_BYTES` in a batch."""
     if len(sset) == 0:
         raise ConfigError("cannot evaluate on an empty set")
+    if batch_size is None:
+        batch_size = max(1, min(EVAL_BATCH, EVAL_BYTES // (8 * model.cfg.window_elements)))
     preds = []
     for start in range(0, len(sset), batch_size):
         preds.append(model.predict(sset.model_inputs(slice(start, start + batch_size))))

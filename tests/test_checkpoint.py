@@ -20,6 +20,17 @@ def test_values_and_shapes_preserved(tmp_path):
         assert np.array_equal(loaded[k], tensors[k])
 
 
+def test_each_tensor_is_a_fresh_aligned_array(tmp_path):
+    """Tensor data sits at odd byte offsets in the file; the arrays read are not views of it."""
+    path = tmp_path / "t.hsmg"
+    save_checkpoint(path, {"odd": np.arange(3.0), "w": np.ones((2, 3)), "s": np.array(2.0)})
+    loaded = load_checkpoint(path)
+    for arr in loaded.values():
+        assert arr.dtype == np.float64 and arr.base is None
+        assert arr.flags.aligned and arr.flags.c_contiguous and arr.flags.writeable
+    assert np.array_equal(loaded["w"], np.ones((2, 3))) and loaded["s"] == 2.0
+
+
 def test_byte_identical_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     tensors = {"w": rng.normal(size=(5, 3)), "b": rng.normal(size=5)}

@@ -5,8 +5,9 @@ import pytest
 
 from hsmgnn import HSMGNN, VARIANTS, training
 from hsmgnn import data as D
-from hsmgnn.checkpoint import load_checkpoint
-from hsmgnn.cli import main
+from hsmgnn.checkpoint import load_checkpoint, save_checkpoint
+from hsmgnn.cli import MODEL_KEYS, main
+from hsmgnn.model import PARAM_BUDGET, ModelConfig
 
 TINY = {
     "w_p": 4, "delta": 0.5, "d_blocks": 2, "cnn_hidden": 2, "m_q": 2, "m_d": 3,
@@ -226,14 +227,27 @@ class TestTrainEval:
 
     def test_config_too_large_for_memory_exit_two(self, tmp_path, toy_data, config_file,
                                                   monkeypatch, capsys):
-        def refuse(self, name, shape, fan_in, rng):  # no real 4.66 TiB request
-            raise MemoryError(f"Unable to allocate 4.66 TiB for an array with shape {shape}")
+        """A config within the parameter budget may still not fit the machine's memory."""
+        def refuse(self, rng):  # no real 4.66 TiB request
+            raise MemoryError("Unable to allocate 4.66 TiB for an array with shape (2, 2, 3)")
 
-        monkeypatch.setattr(HSMGNN, "_param", refuse)
+        monkeypatch.setattr(HSMGNN, "_init_params", refuse)
+        assert main(["train", "--config", str(config_file), "--data", str(toy_data),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: Unable to allocate 4.66 TiB for an array with shape (2, 2, 3)\n")
+
+    def test_config_over_the_parameter_budget_exit_two(self, tmp_path, toy_data, config_file,
+                                                       monkeypatch, capsys):
+        """The count comes from the parameter table, before anything is drawn: TINY's
+        (m_d, m_q**2 * M) FFN weight alone is 3 x 3e10 elements at m_q = 1e5."""
+        monkeypatch.setattr(HSMGNN, "_init_params", lambda self, rng: pytest.fail("drawn"))
         assert main(["train", "--config", str(config_file), "--data", str(toy_data),
                      "--out", str(tmp_path / "o"), "--set", "m_q=100000"]) == 2
         assert capsys.readouterr().err == (
-            "error: Unable to allocate 4.66 TiB for an array with shape (2, 2, 3)\n")
+            f"error: the model would have 90,000,300,648 parameters, "
+            f"over the budget of {PARAM_BUDGET:,}\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestMalformedInput:
@@ -273,6 +287,48 @@ class TestMalformedInput:
         cut.write_bytes((run / "checkpoint.hsmg").read_bytes()[:100])
         assert main(["eval", "--config", str(config_file), "--data", str(toy_data),
                      "--checkpoint", str(cut), "--out", str(tmp_path / "e")]) == 2
+
+
+def test_eval_draws_no_random_model(tmp_path, toy_data, config_file, monkeypatch):
+    """`eval` takes the checkpoint's arrays as the model's parameters, and scores exactly
+    as a drawn model that then loads the checkpoint."""
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config_file), "--data", str(toy_data),
+                 "--out", str(run), "--set", "epochs=1"]) == 0
+    drawn = HSMGNN(ModelConfig(n=3, t=8, **{k: v for k, v in TINY.items() if k in MODEL_KEYS}),
+                   seed=1)
+    drawn.load(run / "checkpoint.hsmg")
+    expected = training.evaluate(drawn, D.load_canonical(toy_data)).rmse
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("eval drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    assert main(["eval", "--config", str(config_file), "--data", str(toy_data),
+                 "--checkpoint", str(run / "checkpoint.hsmg"), "--out", str(tmp_path / "e")]) == 0
+    assert json.loads((tmp_path / "e" / "metrics.json").read_text())[0]["rmse"] == expected
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda s: s.pop("adb.bank"), "checkpoint mismatch: missing ['adb.bank'], unexpected []"),
+    (lambda s: s.update(extra=np.zeros(2)),
+     "checkpoint mismatch: missing [], unexpected ['extra']"),
+    (lambda s: s.update({"cnn.b1": np.zeros(3)}),
+     "checkpoint tensor 'cnn.b1' has shape (3,), expected (2,)"),
+])
+def test_eval_of_a_checkpoint_that_does_not_fit_exits_two(edit, message, tmp_path, toy_data,
+                                                          config_file, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config_file), "--data", str(toy_data),
+                 "--out", str(run), "--set", "epochs=1"]) == 0
+    state = load_checkpoint(run / "checkpoint.hsmg")
+    edit(state)
+    save_checkpoint(tmp_path / "edited.hsmg", state)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config_file), "--data", str(toy_data),
+                 "--checkpoint", str(tmp_path / "edited.hsmg"),
+                 "--out", str(tmp_path / "e")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_eval_on_an_empty_container_exits_two(tmp_path, toy_data, config_file, capsys):

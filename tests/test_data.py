@@ -224,6 +224,21 @@ class TestLazyWindows:
         s, n, t, c = sset.windows.shape
         assert peak < s * n * t * c * 8
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_load_peaks_within_twice_the_parsed_table(self, tmp_path, split):
+        """Past the parse, a split holds the sensor columns it keeps and their windowed rows;
+        the training table, sorted rows and normalizing temporaries are not copied beside
+        them. The test table is about as large as the training one here."""
+        write_turbofan_files(tmp_path, n_units=20, min_len=400)
+        table = D._read_table(tmp_path / "train_FD001.txt")
+        tracemalloc.start()
+        try:
+            D.load_cmapss(tmp_path, "FD001", window=30, split=split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * table.nbytes, f"{peak / table.nbytes:.2f}x the parsed table"
+
     @staticmethod
     def sets(tmp_path):
         write_turbofan_files(tmp_path)

@@ -23,9 +23,10 @@ import numpy as np
 import pytest
 
 import reference
-from hsmgnn import HSMGNN, ModelConfig, ablate
+from hsmgnn import HSMGNN, ModelConfig, ablate, evaluate
 from hsmgnn import adb, fusion, scs
 from hsmgnn import tensor as T
+from hsmgnn.data import SampleSet
 from hsmgnn.errors import ContractError, ShapeError
 from hsmgnn.optim import BLOCK, Adam
 from hsmgnn.tensor import Tensor
@@ -437,6 +438,32 @@ def test_training_step_peak_stays_near_the_forward_graph(n, b):
     bound = held + grads + 2 * BLOCK * 8 + slack
     assert peak <= bound, (f"step peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB "
                            f"(forward graph {held / 1e6:.2f} MB)")
+
+
+def test_evaluate_peaks_below_a_training_step():
+    """`evaluate` at its default batch over 64 windows of an N=128 model holds no more
+    than one training step at batch 8 does."""
+    cfg = ModelConfig(n=128, t=30)
+    model = HSMGNN(cfg, seed=0)
+    opt = Adam(model.params)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(64, 128, 30)), rng.normal(size=64)
+
+    def step():
+        model.loss(model.forward(x[:8]), y[:8]).backward()
+        opt.step()
+
+    peaks = []
+    for run in (step, lambda: evaluate(model, SampleSet(x[..., None], y, "regression"))):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        opt.zero_grad()
+    step, evaluation = peaks
+    assert evaluation <= step, f"evaluate {evaluation / 1e6:.1f} MB, step {step / 1e6:.1f} MB"
 
 
 def test_adb_adds_no_node_of_the_adjacency_shape():

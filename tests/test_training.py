@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hsmgnn import HSMGNN, ModelConfig, TrainConfig, ablate, evaluate, sweep, train
-from hsmgnn import VARIANTS, training
+from hsmgnn import VARIANTS, model as M, training
 from hsmgnn import tensor as T
 from hsmgnn.data import SampleSet, carve_validation, load_cmapss
 from hsmgnn.errors import ConfigError, NumericsError
@@ -278,3 +278,73 @@ class TestModelConfig:
         model.save(path)
         with pytest.raises(ConfigError):
             HSMGNN(ablate("no-adb", tiny_cfg()), seed=0).load(path)
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_the_draw_follows_the_table(self, variant):
+        cfg = ablate(variant, tiny_cfg())
+        table = cfg.param_table()
+        params = HSMGNN(cfg, seed=0).params
+        assert list(params) == list(table)
+        for name, (shape, fan_in) in table.items():
+            assert params[name].shape == shape
+            assert np.abs(params[name].data).max() <= 1 / math.sqrt(fan_in)
+
+    def test_from_state_adopts_the_checkpoint_arrays(self, tmp_path, monkeypatch):
+        model = HSMGNN(tiny_cfg(), seed=3)
+        model.save(tmp_path / "model.hsmg")
+        state = M.load_checkpoint(tmp_path / "model.hsmg")
+        x = synthetic_set(5).model_inputs()
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+        adopted = HSMGNN.from_state(tiny_cfg(), state)
+        assert all(adopted.params[k].data is state[k] for k in state)
+        assert all(p.requires_grad and p.name == k for k, p in adopted.params.items())
+        assert list(adopted.params) == list(tiny_cfg().param_table())
+        assert np.array_equal(adopted.predict(x), model.predict(x))
+
+    def test_from_state_checks_as_load_state_dict_does(self):
+        state = HSMGNN(tiny_cfg(), seed=0).state_dict()
+        del state["mlp.b4"]
+        state["bogus"] = np.zeros(1)
+        message = re.escape("checkpoint mismatch: missing ['mlp.b4'], unexpected ['bogus']")
+        for load in (lambda s: HSMGNN.from_state(tiny_cfg(), s),
+                     HSMGNN(tiny_cfg(), seed=0).load_state_dict):
+            with pytest.raises(ConfigError, match=message):
+                load(state)
+
+    def test_load_state_dict_copies(self):
+        state = HSMGNN(tiny_cfg(), seed=3).state_dict()
+        model = HSMGNN(tiny_cfg(), seed=0)
+        model.load_state_dict(state)
+        assert all(np.array_equal(model.params[k].data, state[k]) for k in state)
+        assert not any(np.shares_memory(model.params[k].data, state[k]) for k in state)
+
+    def test_parameter_budget(self):
+        with pytest.raises(ConfigError, match=f"over the budget of {M.PARAM_BUDGET:,}$"):
+            tiny_cfg(mlp_widths=(M.PARAM_BUDGET, 1, 1))
+
+    def test_config_type_hints_are_resolved_once(self, monkeypatch):
+        calls = []
+        hints = M.get_type_hints
+        monkeypatch.setattr(M, "get_type_hints", lambda cls: calls.append(cls) or hints(cls))
+        M._field_types.cache_clear()
+        try:
+            for _ in range(3):
+                tiny_cfg()
+                TrainConfig()
+        finally:
+            M._field_types.cache_clear()
+        assert calls == [ModelConfig, TrainConfig]
+
+
+@pytest.mark.parametrize("n,batch", [(14, 64), (128, 16)])
+def test_evaluate_caps_its_default_batch_by_bytes(n, batch, monkeypatch):
+    """At most `EVAL_BATCH` windows, and at most as many as keep the largest per-window
+    array (the (K, N, N) adjacency at N=128) within `EVAL_BYTES`."""
+    model = HSMGNN(ModelConfig(n=n, t=30), seed=0)
+    sizes = []
+    monkeypatch.setattr(model, "predict", lambda x: sizes.append(len(x)) or np.zeros(len(x)))
+    evaluate(model, synthetic_set(70, n=n, t=30))
+    assert sizes == [batch] * (70 // batch) + [70 % batch]
+    assert batch * model.cfg.window_elements * 8 <= training.EVAL_BYTES or batch == 1

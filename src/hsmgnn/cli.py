@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -115,12 +116,15 @@ def cmd_prepare(args) -> int:
     """Build every split before writing any, so a failing split leaves no partial output.
     The turbofan test split is normalized with the train split's statistics, so the
     training table is parsed once."""
+    out = Path(args.output)
+    if not out.name:  # ".", "" and "/" name a directory, not a container
+        raise ConfigError(f"--output {args.output!r} names no file")
     if args.dataset == "cmapss":
-        out = Path(args.output)
+        test_out = out.with_name(out.stem + "_test" + out.suffix)
         train = D.load_cmapss(args.input, args.subset, window=args.window, rul_cap=args.rul_cap)
         test = D._cmapss_test(args.input, args.subset, args.window, args.rul_cap,
                               train.sensor_names, train.norm_stats)
-        outputs = {args.output: train, out.with_name(out.stem + "_test" + out.suffix): test}
+        outputs = {args.output: train, test_out: test}
     else:
         outputs = {args.output: D.load_csv(args.input, label_column=args.label_column,
                                            window=args.window, task=args.task)}
@@ -173,6 +177,7 @@ def cmd_sweep(args) -> int:
                          "{param}={value}: {metric:.6f}")
 
 
+@functools.cache  # one parser per process: parsing leaves no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hsmgnn")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,10 +15,15 @@ end as rows once, at construction. From text to a trained model nothing builds a
 windows cover and each sample's window start and unit id, and a set read from it
 views those rows as `load_cmapss` views its own, so a prepared set keeps its units
 for the validation carve-out.
+
+A turbofan test split is normalized with its training table's statistics. The process
+keeps those of the last few training tables parsed, keyed by a digest of each file's
+bytes, so a test split loaded after its train split parses only the test files.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 import warnings
@@ -116,6 +121,12 @@ class SampleSet:
 # -- turbofan text format -------------------------------------------------
 
 CMAPSS_COLUMNS = 26  # unit, cycle, 3 settings, 21 sensors
+TRAIN_STATS_KEPT = 4  # one training table per subset, FD001..FD004
+
+# SHA-256 of a training table's bytes -> its kept sensor names and normalization
+# statistics. A key on `os.stat` could hand one file's statistics to another of the same
+# size, as inodes are reused and mtimes are coarse.
+_train_stats: dict[bytes, tuple[list[str], dict]] = {}
 
 
 def _read_table(path: Path, columns: int | None = None, delimiter: str | None = None,
@@ -158,6 +169,15 @@ def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
     than the window repeats its first cycle. The windows are cut from the
     rows on demand (see `SampleSet`); the train split reads only the
     training table.
+
+    Either split hashes the training table (SHA-256, about 4 ms for FD001's
+    4.7 MB) and, once it is parsed, keeps its sensor names and statistics for
+    the process, for the last `TRAIN_STATS_KEPT` tables. A test split whose
+    training table's bytes were parsed before reuses them and parses only the
+    test and RUL files. Each split gets its own copies of them. `hsmgnn
+    prepare` holds the train split it just loaded, so it hands that split's
+    names and statistics to `_cmapss_test` itself rather than pay a second
+    digest for the same answer.
     """
     data_dir = Path(data_dir)
     if split not in ("train", "test"):
@@ -166,14 +186,37 @@ def load_cmapss(data_dir, subset: str, window: int = 30, rul_cap: float = 125.0,
         raise ConfigError(f"window must be >= 1, got {window}")
     if not rul_cap > 0:
         raise ConfigError(f"rul_cap must be > 0, got {rul_cap}")
-    names, units, values = _cmapss_table(data_dir / f"train_{subset}.txt")
+    train_path = data_dir / f"train_{subset}.txt"
+    digest = _file_digest(train_path)
+    if split == "test" and digest in _train_stats:
+        names, stats = _copied(*_train_stats[digest])
+        return _cmapss_test(data_dir, subset, window, rul_cap, names, stats)
+    names, units, values = _cmapss_table(train_path)
     # on the kept columns as gathered: numpy's axis-0 sums, and so the statistics' last
     # bits, vary with the columns summed and their memory layout
     stats = {"mean": values.mean(axis=0), "std": values.std(axis=0)}
+    _train_stats.pop(digest, None)  # re-inserted as the newest
+    if len(_train_stats) >= TRAIN_STATS_KEPT:
+        del _train_stats[next(iter(_train_stats))]
+    _train_stats[digest] = _copied(names, stats)
     if split == "train":
         return _cmapss_windows(units, values, window, rul_cap, names, stats)
     del units, values  # the test table is parsed without the training rows held
     return _cmapss_test(data_dir, subset, window, rul_cap, names, stats)
+
+
+def _file_digest(path: Path) -> bytes:
+    """The SHA-256 digest of a file's bytes, read in 64 KiB chunks."""
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            sha.update(chunk)
+    return sha.digest()
+
+
+def _copied(names: list[str], stats: dict) -> tuple[list[str], dict]:
+    """Copies of a training table's sensor names and statistics, which callers may edit."""
+    return list(names), {key: value.copy() for key, value in stats.items()}
 
 
 def _cmapss_table(path: Path, names: list[str] | None = None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hsmgnn import ModelConfig
+from hsmgnn import data as D
 
 
 def numeric_grad(f, arr: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -23,6 +24,13 @@ def numeric_grad(f, arr: np.ndarray, h: float = 1e-6) -> np.ndarray:
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-8) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+@pytest.fixture(autouse=True)
+def no_kept_train_stats(monkeypatch):
+    """Every test starts with no kept training statistics, so a turbofan test split
+    parses its training table unless the test itself loaded that table first."""
+    monkeypatch.setattr(D, "_train_stats", {})
 
 
 @pytest.fixture

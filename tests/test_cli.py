@@ -6,7 +6,7 @@ import pytest
 from hsmgnn import HSMGNN, VARIANTS, training
 from hsmgnn import data as D
 from hsmgnn.checkpoint import load_checkpoint, save_checkpoint
-from hsmgnn.cli import MODEL_KEYS, main
+from hsmgnn.cli import MODEL_KEYS, build_parser, main
 from hsmgnn.model import PARAM_BUDGET, ModelConfig
 
 TINY = {
@@ -123,6 +123,18 @@ class TestPrepare:
             (tmp_path / split).unlink()
         (tmp_path / "RUL_FD001.txt").write_text("1\n")  # fewer values than test units
         assert main(argv) == 2
+        assert not list(tmp_path.glob("*.mtsd"))
+
+    @pytest.mark.parametrize("output", [".", "/"])
+    def test_output_that_names_no_file_exit_two(self, tmp_path, monkeypatch, capsys, output):
+        from test_data import write_turbofan_files
+
+        write_turbofan_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(D, "_read_table", lambda *args, **kwargs: pytest.fail("parsed"))
+        assert main(["prepare", "--dataset", "cmapss", "--input", str(tmp_path),
+                     "--output", output, "--window", "8"]) == 2
+        assert capsys.readouterr().err == f"error: --output {output!r} names no file\n"
         assert not list(tmp_path.glob("*.mtsd"))
 
     def test_missing_input_exit_one(self, tmp_path):
@@ -248,6 +260,26 @@ class TestTrainEval:
             f"error: the model would have 90,000,300,648 parameters, "
             f"over the budget of {PARAM_BUDGET:,}\n")
         assert not (tmp_path / "o").exists()
+
+
+class TestParser:
+    def test_one_parser_keeps_no_value_between_parses(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        first = parser.parse_args(["train", "--data", "d", "--out", "o", "--set", "a=1",
+                                   "--seed", "3"])
+        assert (first.set, first.seed) == (["a=1"], 3)
+        second = parser.parse_args(["eval", "--data", "d", "--out", "o", "--checkpoint", "c"])
+        assert second.set == [] and second.seed is None
+
+    def test_bad_argv_leaves_main_working(self, tmp_path, toy_data, config_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(toy_data), "--seed", "x"])
+        assert exc.value.code == 2
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_file), "--data", str(toy_data),
+                     "--out", str(out), "--set", "epochs=1"]) == 0
+        assert (out / "checkpoint.hsmg").exists()
 
 
 class TestMalformedInput:

@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 import warnings
@@ -292,6 +293,82 @@ class TestLazyWindows:
         (tmp_path / "RUL_FD001.txt").unlink()
         assert np.array_equal(D.load_cmapss(tmp_path, "FD001", window=8).windows,
                               expected.windows)
+
+
+class TestTrainStats:
+    """A test split reuses the statistics of a training table whose bytes were parsed."""
+
+    @staticmethod
+    def counted_reads(monkeypatch) -> list[str]:
+        read, names = D._read_table, []
+
+        def counted(path, *args, **kwargs):
+            names.append(path.name)
+            return read(path, *args, **kwargs)
+
+        monkeypatch.setattr(D, "_read_table", counted)
+        return names
+
+    def test_train_then_test_parses_the_training_table_once(self, tmp_path, monkeypatch):
+        write_turbofan_files(tmp_path)
+        names = self.counted_reads(monkeypatch)
+        D.load_cmapss(tmp_path, "FD001", window=8)
+        D.load_cmapss(tmp_path, "FD001", window=8, split="test")
+        assert sorted(names) == ["RUL_FD001.txt", "test_FD001.txt", "train_FD001.txt"]
+
+    def test_reused_statistics_give_the_fresh_test_split(self, tmp_path, monkeypatch):
+        write_turbofan_files(tmp_path)
+        D.load_cmapss(tmp_path, "FD001", window=8)
+        reused = D.load_cmapss(tmp_path, "FD001", window=8, split="test")
+        monkeypatch.setattr(D, "_train_stats", {})
+        fresh = D.load_cmapss(tmp_path, "FD001", window=8, split="test")
+        assert_same_set(reused, fresh)
+
+    def test_same_size_rewrite_with_the_old_mtime_gives_new_statistics(self, tmp_path):
+        write_turbofan_files(tmp_path)
+        path = tmp_path / "train_FD001.txt"
+        old = D.load_cmapss(tmp_path, "FD001", window=8, split="test")
+        stat = path.stat()
+        path.write_bytes(path.read_bytes().translate(bytes.maketrans(b"3456", b"6543")))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        new = D.load_cmapss(tmp_path, "FD001", window=8, split="test")
+        assert not np.array_equal(new.norm_stats["mean"], old.norm_stats["mean"])
+        rows = D._read_table(path)[:, 5:]
+        keep = [int(name[1:]) - 1 for name in new.sensor_names]
+        assert np.allclose(new.norm_stats["mean"], rows[:, keep].mean(axis=0))
+
+    def test_editing_returned_statistics_changes_no_later_load(self, tmp_path):
+        write_turbofan_files(tmp_path)
+        expected = D.load_cmapss(tmp_path, "FD001", window=8, split="test")
+        for split in ("train", "test"):
+            sset = D.load_cmapss(tmp_path, "FD001", window=8, split=split)
+            sset.norm_stats["mean"][:] = 0.0
+            sset.norm_stats["std"] *= 2.0
+            sset.sensor_names.append("s99")
+            assert_same_set(D.load_cmapss(tmp_path, "FD001", window=8, split="test"),
+                            expected)
+
+    def test_at_most_four_tables_are_kept(self, tmp_path, monkeypatch):
+        for k in range(1, 6):
+            write_turbofan_files(tmp_path, subset=f"FD00{k}", seed=k)
+            D.load_cmapss(tmp_path, f"FD00{k}", window=8)
+        assert len(D._train_stats) == D.TRAIN_STATS_KEPT == 4
+        names = self.counted_reads(monkeypatch)
+        D.load_cmapss(tmp_path, "FD005", window=8, split="test")
+        D.load_cmapss(tmp_path, "FD001", window=8, split="test")  # the oldest, dropped
+        assert sorted(names) == ["RUL_FD001.txt", "RUL_FD005.txt", "test_FD001.txt",
+                                 "test_FD005.txt", "train_FD001.txt"]
+
+
+def assert_same_set(got, expected):
+    assert got.source.strides == expected.source.strides
+    for name in ("source", "labels", "index", "unit_ids"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+    assert got.norm_stats.keys() == expected.norm_stats.keys()
+    for key in expected.norm_stats:
+        assert np.array_equal(got.norm_stats[key], expected.norm_stats[key]), key
+    assert got.sensor_names == expected.sensor_names
 
 
 class TestCsvLoader:
